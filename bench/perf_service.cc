@@ -848,10 +848,14 @@ JournalLatency MeasureJournalMode(const std::string& mode, int64_t ops,
   {
     service::IntegrationService service(config);
     std::string session = service.OpenSession("bench");
+    service::ServiceCommand define;
+    define.op = service::ServiceCommand::Op::kDefine;
     for (const std::string& name : workload.schema_names) {
-      const ecr::Schema& schema = **workload.catalog.GetSchema(name);
-      result.ok &= service.Define(session, ecr::ToDdl(schema)).ok();
+      define.text = ecr::ToDdl(**workload.catalog.GetSchema(name));
+      result.ok &= service.Execute(session, define).ok();
     }
+    service::ServiceCommand equiv;
+    equiv.op = service::ServiceCommand::Op::kEquiv;
     std::vector<int64_t> latencies;
     latencies.reserve(static_cast<size_t>(ops));
     int64_t start = NowNs();
@@ -859,11 +863,10 @@ JournalLatency MeasureJournalMode(const std::string& mode, int64_t ops,
       const workload::TrueAttributeMatch& match =
           workload.attribute_matches[static_cast<size_t>(i) %
                                      workload.attribute_matches.size()];
+      equiv.path_a = match.first;
+      equiv.path_b = match.second;
       int64_t op_start = NowNs();
-      result.ok &= service
-                       .DeclareEquivalence(session, match.first,
-                                           match.second)
-                       .ok();
+      result.ok &= service.Execute(session, equiv).ok();
       latencies.push_back(NowNs() - op_start);
     }
     int64_t elapsed = NowNs() - start;

@@ -166,21 +166,6 @@ Result<ServiceResponse> ParseResponse(std::string_view wire) {
 
 namespace {
 
-constexpr struct {
-  WireVerb verb;
-  const char* name;
-} kWireVerbs[] = {
-    {WireVerb::kPing, "ping"},          {WireVerb::kOpen, "open"},
-    {WireVerb::kClose, "close"},        {WireVerb::kDeadline, "deadline"},
-    {WireVerb::kDefine, "define"},      {WireVerb::kEquiv, "equiv"},
-    {WireVerb::kAssert, "assert"},      {WireVerb::kIntegrate, "integrate"},
-    {WireVerb::kExport, "export"},      {WireVerb::kRank, "rank"},
-    {WireVerb::kSuggest, "suggest"},    {WireVerb::kTranslate, "translate"},
-    {WireVerb::kOutline, "outline"},    {WireVerb::kMetrics, "metrics"},
-    {WireVerb::kProto, "proto"},        {WireVerb::kPromote, "promote"},
-    {WireVerb::kDemote, "demote"},
-};
-
 // Frames `body` with its varint length prefix.
 std::string FrameBody(std::string body) {
   std::string out;
@@ -282,20 +267,6 @@ Result<ServiceResponse> DecodeResponsePayload(std::string_view& body) {
 }
 
 }  // namespace
-
-const char* WireVerbName(WireVerb verb) {
-  for (const auto& entry : kWireVerbs) {
-    if (entry.verb == verb) return entry.name;
-  }
-  return nullptr;
-}
-
-std::optional<WireVerb> WireVerbFromName(std::string_view name) {
-  for (const auto& entry : kWireVerbs) {
-    if (entry.name == name) return entry.verb;
-  }
-  return std::nullopt;
-}
 
 void PutVarint(std::string& out, uint64_t value) {
   while (value >= 0x80) {

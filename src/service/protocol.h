@@ -162,10 +162,9 @@ enum class WireVerb : uint8_t {
   kDemote = 17,
 };
 
-// Text name of a wire verb ("ping", ...); null for an unknown code.
+// Text name of a wire verb ("ping", ...); null for an unknown code. The
+// names come from the verb table (service/verbs.h).
 const char* WireVerbName(WireVerb verb);
-// Inverse; nullopt for names that are not verbs.
-std::optional<WireVerb> WireVerbFromName(std::string_view name);
 
 // LEB128 varint append / consume. GetVarint returns false on truncation or
 // an overlong (> 10 byte) encoding and leaves `in` unspecified.

@@ -488,11 +488,20 @@ Result<std::unique_ptr<RecoveryManager>> RecoveryManager::Open(
   return manager;
 }
 
-Status RecoveryManager::LogVerb(const engine::ReplayVerb& verb) {
+Status RecoveryManager::LogRun(std::span<const engine::ReplayVerb> verbs) {
   int64_t appends_before = journal_->appends();
   int64_t bytes_before = journal_->appended_bytes();
   int64_t fsyncs_before = journal_->fsyncs();
-  Status status = journal_->Append(engine::EncodeReplayVerb(verb));
+  Status status = Status::Ok();
+  if (verbs.size() == 1) {
+    status = journal_->Append(engine::EncodeReplayVerb(verbs.front()));
+  } else {
+    for (const engine::ReplayVerb& verb : verbs) {
+      status = journal_->AppendDeferred(engine::EncodeReplayVerb(verb));
+      if (!status.ok()) break;
+    }
+    if (status.ok()) status = journal_->CommitBatch();
+  }
   Bump(appends_, journal_->appends() - appends_before);
   Bump(append_bytes_, journal_->appended_bytes() - bytes_before);
   Bump(fsyncs_, journal_->fsyncs() - fsyncs_before);
@@ -500,32 +509,7 @@ Status RecoveryManager::LogVerb(const engine::ReplayVerb& verb) {
     Bump(append_failures_);
     return status;
   }
-  ++records_since_checkpoint_;
-  return Status::Ok();
-}
-
-Status RecoveryManager::LogVerbDeferred(const engine::ReplayVerb& verb) {
-  int64_t appends_before = journal_->appends();
-  int64_t bytes_before = journal_->appended_bytes();
-  Status status = journal_->AppendDeferred(engine::EncodeReplayVerb(verb));
-  Bump(appends_, journal_->appends() - appends_before);
-  Bump(append_bytes_, journal_->appended_bytes() - bytes_before);
-  if (!status.ok()) {
-    Bump(append_failures_);
-    return status;
-  }
-  ++records_since_checkpoint_;
-  return Status::Ok();
-}
-
-Status RecoveryManager::CommitBatch() {
-  int64_t fsyncs_before = journal_->fsyncs();
-  Status status = journal_->CommitBatch();
-  Bump(fsyncs_, journal_->fsyncs() - fsyncs_before);
-  if (!status.ok()) {
-    Bump(append_failures_);
-    return status;
-  }
+  records_since_checkpoint_ += static_cast<int>(verbs.size());
   return Status::Ok();
 }
 

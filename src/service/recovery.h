@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -129,19 +130,14 @@ class RecoveryManager {
       engine::Engine& engine, RecoveryStats* stats,
       MetricsRegistry* metrics);
 
-  // Appends one verb to the journal (syncing per policy). Called BEFORE
-  // the verb runs against the engine; failure means nothing was applied
-  // anywhere and the caller flips the project to degraded read-only mode.
-  Status LogVerb(const engine::ReplayVerb& verb);
-
-  // Group-commit pair for batched writes: LogVerbDeferred appends without
-  // a durability barrier; the batch ends with CommitBatch, one barrier
-  // covering every deferred record. Same contract as LogVerb otherwise —
-  // called before the verb runs, failure degrades the project, and no
-  // reply for any verb in the batch may be sent before CommitBatch
-  // returns Ok.
-  Status LogVerbDeferred(const engine::ReplayVerb& verb);
-  Status CommitBatch();
+  // Journals one run of writes. Called BEFORE any verb of the run touches
+  // the engine; failure means the caller must apply none of them and flips
+  // the project to degraded read-only mode. A run of one record is
+  // appended and synced per the fsync policy (kBatch: every Nth record);
+  // a longer run is group-committed — appended without syncs, then ONE
+  // barrier covers it (kAlways and kBatch: one fsync per run).
+  Status LogRun(std::span<const engine::ReplayVerb> verbs);
+  Status LogVerb(const engine::ReplayVerb& verb) { return LogRun({&verb, 1}); }
 
   // Writes a checkpoint of the engine's current state and rotates the
   // journal. An atomic-write failure is non-fatal (the previous checkpoint

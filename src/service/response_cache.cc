@@ -4,11 +4,15 @@
 
 namespace ecrint::service {
 
-std::string ResponseCache::Key(std::string_view verb,
+std::string ResponseCache::Key(std::string_view project,
+                               std::string_view verb,
                                const std::vector<std::string>& args) {
-  // Length-prefix every arg so the encoding is injective even for raw
-  // binary args that may themselves contain the separator byte.
-  std::string key(verb);
+  // Length-prefix the project and every arg so the encoding is injective
+  // even for raw binary args that may themselves contain the separator.
+  std::string key = std::to_string(project.size());
+  key += ':';
+  key += project;
+  key += verb;
   for (const std::string& arg : args) {
     key += '\x01';
     key += std::to_string(arg.size());

@@ -18,11 +18,12 @@
 namespace ecrint::service {
 
 // A cache of pre-serialized read-verb responses (rank / suggest / outline /
-// translate), keyed by the request (verb + args) and validated against the
-// snapshot the reply would be computed from. Entries remember which
-// snapshot PARTS their verb read — as weak_ptrs to the part objects — and
-// a lookup hits only when the candidate snapshot still carries those exact
-// objects. Copy-on-write publication makes this both precise and safe:
+// translate), keyed by the project and the request (verb + args) and
+// validated against the snapshot the reply would be computed from. Entries
+// remember which snapshot PARTS their verb read — as weak_ptrs to the part
+// objects — and a lookup hits only when the candidate snapshot still
+// carries those exact objects. Copy-on-write publication makes this both
+// precise and safe:
 //
 //  - a republish that did not touch the verb's parts (e.g. an assert run
 //    that deduplicated to nothing) reuses the part pointers, so the cache
@@ -31,9 +32,10 @@ namespace ecrint::service {
 //    dependent entry mismatches and is evicted on its next lookup;
 //  - the comparison is ABA-safe: weak_ptr::lock can only resurrect the
 //    original object, never a new allocation at a recycled address;
-//  - keys deliberately omit the project: two projects that collide on a
-//    key cannot share part objects, so the worst case is eviction, never
-//    a cross-project stale serve.
+//  - keys include the project, so two projects with equal schema names
+//    each keep their own entry instead of evicting each other on every
+//    lookup (they could never serve each other: their snapshots never
+//    share part objects).
 //
 // The serialized wire bytes are built per protocol version on first use
 // (text framing and binary framing differ), so a hit costs one string copy
@@ -46,9 +48,9 @@ class ResponseCache {
   // clear-on-overflow policy would.
   static constexpr size_t kMaxEntries = 256;
 
-  // Builds the canonical key for a request. Each arg is length-prefixed
-  // so distinct arg vectors can never collide.
-  static std::string Key(std::string_view verb,
+  // Builds the canonical key for a request against `project`. The project
+  // and each arg are length-prefixed so distinct requests never collide.
+  static std::string Key(std::string_view project, std::string_view verb,
                          const std::vector<std::string>& args);
 
   struct Hit {

@@ -4,12 +4,10 @@
 #include <cerrno>
 #include <cstdlib>
 #include <limits>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/strings.h"
-#include "common/thread_pool.h"
 
 namespace ecrint::service {
 
@@ -21,43 +19,13 @@ ServiceResponse BadRequest(std::string message) {
   return response;
 }
 
-Result<ecr::AttributePath> ParsePath(const std::string& token) {
-  std::vector<std::string> parts = Split(token, '.');
-  if (parts.size() != 3) {
-    return ParseError("expected schema.object.attribute, got '" + token +
-                      "'");
-  }
-  return ecr::AttributePath{parts[0], parts[1], parts[2]};
+std::string Encode(const ServiceResponse& response, int protocol) {
+  return protocol == kProtocolBinaryVersion ? EncodeBinaryResponse(response)
+                                            : FormatResponse(response);
 }
 
-Result<core::ObjectRef> ParseRef(const std::string& token) {
-  std::vector<std::string> parts = Split(token, '.');
-  if (parts.size() != 2) {
-    return ParseError("expected schema.object, got '" + token + "'");
-  }
-  return core::ObjectRef{parts[0], parts[1]};
-}
-
-Result<int> ParseInt(const std::string& token) {
-  char* end = nullptr;
-  long value = std::strtol(token.c_str(), &end, 10);
-  if (end == token.c_str() || *end != '\0') {
-    return ParseError("expected integer, got '" + token + "'");
-  }
-  return static_cast<int>(value);
-}
-
-Result<double> ParseDouble(const std::string& token) {
-  char* end = nullptr;
-  double value = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || *end != '\0') {
-    return ParseError("expected number, got '" + token + "'");
-  }
-  return value;
-}
-
-// The raw text after the verb token (for verbs whose single argument may
-// contain spaces, like define's escaped DDL).
+// The raw text after the verb token (define's escaped DDL, which may
+// contain spaces).
 std::string TailAfterVerb(const std::string& line) {
   std::string_view rest = StripWhitespace(line);
   size_t space = rest.find_first_of(" \t");
@@ -66,24 +34,75 @@ std::string TailAfterVerb(const std::string& line) {
   return std::string(StripWhitespace(rest));
 }
 
-// Verbs whose responses are pure functions of the published snapshot and
-// therefore eligible for the response cache.
-bool IsCacheableVerb(WireVerb verb) {
-  return verb == WireVerb::kRank || verb == WireVerb::kSuggest ||
-         verb == WireVerb::kTranslate || verb == WireVerb::kOutline;
+// The checks every request passes before its arguments are looked at, in
+// this order: batch eligibility, a bound session, a known verb. `name` is
+// the verb as the client spelled it ("" for a binary verb code).
+std::optional<ServiceResponse> Refuse(const Verb* verb, std::string_view name,
+                                      bool in_batch,
+                                      const RouterSession& session) {
+  if (in_batch && verb != nullptr && !verb->batchable()) {
+    return BadRequest(std::string(verb->name) + " not allowed in batch");
+  }
+  if ((verb == nullptr || !verb->session_free()) &&
+      session.session_id.empty()) {
+    return BadRequest("no session; send: open [project]");
+  }
+  if (verb == nullptr) {
+    return BadRequest(name.empty() ? std::string("unknown verb")
+                                   : "unknown verb '" + std::string(name) +
+                                         "'");
+  }
+  return std::nullopt;
 }
 
-bool IsSessionVerb(WireVerb verb) {
-  return verb == WireVerb::kOpen || verb == WireVerb::kClose ||
-         verb == WireVerb::kDeadline || verb == WireVerb::kProto;
-}
+// Bridges the service's read-cache hook to the router's ResponseCache.
+// Entries are keyed by project, verb name and arguments, so text and binary
+// requests share them.
+class RouterReadCache final : public BatchReadCache {
+ public:
+  // `wire_protocol` frames a lone request's hit for that protocol; 0 for
+  // batch items, which the batch encoder frames itself.
+  RouterReadCache(ResponseCache* cache, int wire_protocol)
+      : cache_(cache), wire_protocol_(wire_protocol) {}
 
-// Failover admin verbs (docs/OPERATIONS.md, "Failover runbook"). They
-// change the NODE's role, not one request's outcome, so like session verbs
-// they are barred from batches.
-bool IsFailoverVerb(WireVerb verb) {
-  return verb == WireVerb::kPromote || verb == WireVerb::kDemote;
-}
+  // Registers the request behind the next command index.
+  void Add(const Verb& verb, const std::vector<std::string>& args) {
+    requests_.push_back({verb.name, &args});
+  }
+
+  std::optional<ServiceResponse> Lookup(
+      size_t index, const std::string& project,
+      const EngineSnapshot& snapshot) override {
+    std::string key = KeyOf(index, project);
+    if (wire_protocol_ == 0) return cache_->LookupResponse(key, snapshot);
+    std::optional<ResponseCache::Hit> hit =
+        cache_->Lookup(key, snapshot, wire_protocol_);
+    if (!hit.has_value()) return std::nullopt;
+    wire_ = std::move(hit->wire);
+    return std::move(hit->response);
+  }
+
+  void Insert(size_t index, const std::string& project,
+              const EngineSnapshot& snapshot,
+              const ServiceResponse& response) override {
+    cache_->Insert(KeyOf(index, project), snapshot, response);
+  }
+
+  // The pre-serialized frame of a lone request's hit ("" on a miss).
+  std::string& wire() { return wire_; }
+
+ private:
+  std::string KeyOf(size_t index, const std::string& project) const {
+    return ResponseCache::Key(project, requests_[index].first,
+                              *requests_[index].second);
+  }
+
+  ResponseCache* cache_;
+  int wire_protocol_;
+  std::vector<std::pair<const char*, const std::vector<std::string>*>>
+      requests_;
+  std::string wire_;
+};
 
 // `promote`: make this node the write leader of the session's project at a
 // freshly bumped epoch. Answers "leader epoch <N>".
@@ -152,200 +171,68 @@ ServiceResponse DemoteVerb(IntegrationService* service,
   return response;
 }
 
-// Parses one binary request into a protocol-independent command. Returns
-// the error response on a malformed request, nullopt on success. Binary
-// arguments are raw bytes — no unescaping (define's DDL travels verbatim
-// as a single argument).
-std::optional<ServiceResponse> BuildCommand(const BinaryRequest& request,
-                                            ServiceCommand* out) {
-  const std::vector<std::string>& args = request.args;
-  switch (request.verb) {
-    case WireVerb::kPing:
-      out->op = ServiceCommand::Op::kPing;
-      return std::nullopt;
-    case WireVerb::kDefine: {
-      if (args.size() != 1 || args[0].empty()) {
-        return BadRequest("usage: define <ddl>");
-      }
-      out->op = ServiceCommand::Op::kDefine;
-      out->text = args[0];
-      return std::nullopt;
-    }
-    case WireVerb::kEquiv: {
-      if (args.size() != 2) return BadRequest("usage: equiv <s.o.a> <s.o.a>");
-      Result<ecr::AttributePath> a = ParsePath(args[0]);
-      if (!a.ok()) return BadRequest(a.status().ToString());
-      Result<ecr::AttributePath> b = ParsePath(args[1]);
-      if (!b.ok()) return BadRequest(b.status().ToString());
-      out->op = ServiceCommand::Op::kEquiv;
-      out->path_a = *a;
-      out->path_b = *b;
-      return std::nullopt;
-    }
-    case WireVerb::kAssert: {
-      if (args.size() != 3) return BadRequest("usage: assert <s.o> <0-5> <s.o>");
-      Result<core::ObjectRef> first = ParseRef(args[0]);
-      if (!first.ok()) return BadRequest(first.status().ToString());
-      Result<int> code = ParseInt(args[1]);
-      if (!code.ok()) return BadRequest(code.status().ToString());
-      Result<core::ObjectRef> second = ParseRef(args[2]);
-      if (!second.ok()) return BadRequest(second.status().ToString());
-      out->op = ServiceCommand::Op::kAssert;
-      out->first = *first;
-      out->type_code = *code;
-      out->second = *second;
-      return std::nullopt;
-    }
-    case WireVerb::kIntegrate:
-      out->op = ServiceCommand::Op::kIntegrate;
-      out->schemas = args;
-      return std::nullopt;
-    case WireVerb::kExport:
-      if (!args.empty()) return BadRequest("usage: export");
-      out->op = ServiceCommand::Op::kExport;
-      return std::nullopt;
-    case WireVerb::kRank: {
-      if (args.size() < 2 || args.size() > 4) {
-        return BadRequest("usage: rank <schema1> <schema2> [rel] [zero]");
-      }
-      out->op = ServiceCommand::Op::kRank;
-      out->schema1 = args[0];
-      out->schema2 = args[1];
-      out->kind = core::StructureKind::kObjectClass;
-      out->include_zero = false;
-      for (size_t i = 2; i < args.size(); ++i) {
-        if (args[i] == "rel") {
-          out->kind = core::StructureKind::kRelationshipSet;
-        } else if (args[i] == "zero") {
-          out->include_zero = true;
-        } else {
-          return BadRequest("unknown rank flag '" + args[i] + "'");
-        }
-      }
-      return std::nullopt;
-    }
-    case WireVerb::kSuggest: {
-      if (args.size() < 2 || args.size() > 3) {
-        return BadRequest("usage: suggest <schema1> <schema2> [threshold]");
-      }
-      out->op = ServiceCommand::Op::kSuggest;
-      out->schema1 = args[0];
-      out->schema2 = args[1];
-      out->threshold = 0.6;
-      if (args.size() == 3) {
-        Result<double> parsed = ParseDouble(args[2]);
-        if (!parsed.ok()) return BadRequest(parsed.status().ToString());
-        out->threshold = *parsed;
-      }
-      return std::nullopt;
-    }
-    case WireVerb::kTranslate: {
-      size_t at = 0;
-      out->to_components = false;
-      if (at < args.size() && args[at] == "components") {
-        out->to_components = true;
-        ++at;
-      }
-      if (at >= args.size()) {
-        return BadRequest(
-            "usage: translate [components] <s.o> [attr,attr,...]");
-      }
-      Result<core::ObjectRef> structure = ParseRef(args[at++]);
-      if (!structure.ok()) return BadRequest(structure.status().ToString());
-      out->op = ServiceCommand::Op::kTranslate;
-      out->request = {};
-      out->request.structure = *structure;
-      if (at < args.size()) {
-        for (const std::string& attribute : Split(args[at], ',')) {
-          if (!attribute.empty()) out->request.attributes.push_back(attribute);
-        }
-        ++at;
-      }
-      if (at != args.size()) {
-        return BadRequest(
-            "usage: translate [components] <s.o> [attr,attr,...]");
-      }
-      return std::nullopt;
-    }
-    case WireVerb::kOutline:
-      if (!args.empty()) return BadRequest("usage: outline");
-      out->op = ServiceCommand::Op::kOutline;
-      return std::nullopt;
-    case WireVerb::kMetrics:
-      if (!args.empty()) return BadRequest("usage: metrics");
-      out->op = ServiceCommand::Op::kMetrics;
-      return std::nullopt;
-    case WireVerb::kOpen:
-    case WireVerb::kClose:
-    case WireVerb::kDeadline:
-    case WireVerb::kProto:
-    case WireVerb::kPromote:
-    case WireVerb::kDemote:
-      return BadRequest("not a command verb");
-  }
-  return BadRequest("unknown verb");
-}
-
 }  // namespace
 
 std::string RequestRouter::HandleLine(const std::string& line,
                                       RouterSession* session) {
-  // The response-cache fast path: cacheable read verb, bound session,
-  // valid line. The snapshot is captured BEFORE execution and the entry
-  // tagged with its parts, so a concurrent write can only make the entry
-  // immediately stale (evicted next lookup) — never serve a stale body.
-  if (!session->session_id.empty() && ValidateRequestLine(line).ok()) {
-    std::vector<std::string> tokens = Tokenize(line);
-    if (!tokens.empty()) {
-      std::optional<WireVerb> verb = WireVerbFromName(tokens[0]);
-      if (verb.has_value() && IsCacheableVerb(*verb)) {
-        std::shared_ptr<const EngineSnapshot> snapshot =
-            service_->CurrentSnapshot(session->session_id);
-        if (snapshot) {
-          std::string key = ResponseCache::Key(
-              tokens[0],
-              std::vector<std::string>(tokens.begin() + 1, tokens.end()));
-          if (std::optional<ResponseCache::Hit> hit =
-                  cache_.Lookup(key, *snapshot, kProtocolTextVersion)) {
-            service_->NoteCacheHit(session->session_id, tokens[0].c_str());
-            return hit->wire;
-          }
-          ServiceResponse response = Dispatch(line, session);
-          std::string wire = FormatResponse(response);
-          // Only successful responses are cached: admission errors
-          // (OVERLOADED, TIMEOUT) are transient and session errors name a
-          // specific session, so neither may outlive this request.
-          if (response.ok()) cache_.Insert(key, *snapshot, response);
-          return wire;
-        }
-      }
+  // Size and byte-content limits come first: an oversized or NUL-bearing
+  // line is refused before any token of it is interpreted.
+  if (Status valid = ValidateRequestLine(line); !valid.ok()) {
+    return FormatResponse(BadRequest(valid.message()));
+  }
+  std::vector<std::string> tokens = Tokenize(line);
+  if (tokens.empty()) return FormatResponse(BadRequest("empty request"));
+  const Verb* verb = FindVerb(tokens[0]);
+  if (std::optional<ServiceResponse> refused =
+          Refuse(verb, tokens[0], /*in_batch=*/false, *session)) {
+    return FormatResponse(*refused);
+  }
+  std::vector<std::string> args(tokens.begin() + 1, tokens.end());
+  if (verb->wire == WireVerb::kDefine) {
+    // define's DDL travels escaped in the raw tail, spaces and all; it
+    // becomes ONE unescaped argument, exactly what a binary client sends.
+    args.clear();
+    if (std::string tail = TailAfterVerb(line); !tail.empty()) {
+      Result<std::string> ddl = UnescapeField(tail);
+      if (!ddl.ok()) return FormatResponse(BadRequest(ddl.status().ToString()));
+      args.push_back(*std::move(ddl));
     }
   }
-  return FormatResponse(Dispatch(line, session));
+  return Respond(*verb, args, session, kProtocolTextVersion);
 }
 
-void RequestRouter::HandleLineAsync(std::string line, RouterSession* session,
-                                    std::function<void(std::string)> done) {
-  common::ThreadPool::Shared().Post(
-      [this, line = std::move(line), session, done = std::move(done)] {
-        done(HandleLine(line, session));
-      });
+std::string RequestRouter::Respond(const Verb& verb,
+                                   const std::vector<std::string>& args,
+                                   RouterSession* session, int protocol) {
+  ServiceCommand command;
+  if (std::string error = ParseArgs(verb, args, &command); !error.empty()) {
+    return Encode(BadRequest(std::move(error)), protocol);
+  }
+  if (verb.parse == nullptr) {
+    return Encode(HandleLocalVerb(verb, args, session), protocol);
+  }
+  command.deadline_ns = DeadlineFor(*session);
+  RouterReadCache cache(&cache_, protocol);
+  cache.Add(verb, args);
+  ServiceResponse response = std::move(
+      service_->Execute(session->session_id, {&command, 1}, &cache).front());
+  if (!cache.wire().empty()) return std::move(cache.wire());
+  return Encode(response, protocol);
 }
 
-void RequestRouter::HandleFrameAsync(std::string body, RouterSession* session,
-                                     std::function<void(std::string)> done) {
-  common::ThreadPool::Shared().Post(
-      [this, body = std::move(body), session, done = std::move(done)] {
-        done(HandleFrame(body, session));
-      });
+int64_t RequestRouter::DeadlineFor(const RouterSession& session) const {
+  // The connection override as an absolute deadline, or 0 to let the
+  // service apply its default.
+  return session.deadline_override_ns.has_value()
+             ? service_->clock()->NowNs() + *session.deadline_override_ns
+             : 0;
 }
 
-std::optional<ServiceResponse> RequestRouter::HandleSessionVerb(
-    WireVerb verb, const std::vector<std::string>& args,
+ServiceResponse RequestRouter::HandleLocalVerb(
+    const Verb& verb, const std::vector<std::string>& args,
     RouterSession* session) {
-  switch (verb) {
+  switch (verb.wire) {
     case WireVerb::kOpen: {
-      if (args.size() > 1) return BadRequest("usage: open [project]");
       std::string project = args.size() == 1 ? args[0] : "default";
       session->session_id = service_->OpenSession(project);
       ServiceResponse response;
@@ -353,32 +240,24 @@ std::optional<ServiceResponse> RequestRouter::HandleSessionVerb(
       return response;
     }
     case WireVerb::kClose: {
-      if (session->session_id.empty()) {
-        return BadRequest("no session; send: open [project]");
-      }
       Status status = service_->CloseSession(session->session_id);
       session->session_id.clear();
       if (!status.ok()) return BadRequest(status.ToString());
       return ServiceResponse{};
     }
     case WireVerb::kDeadline: {
-      if (args.size() != 1) return BadRequest("usage: deadline <ms>|default");
-      if (session->session_id.empty()) {
-        return BadRequest("no session; send: open [project]");
-      }
       if (args[0] == "default") {
         session->deadline_override_ns.reset();
-      } else {
-        Result<int> ms = ParseInt(args[0]);
-        if (!ms.ok()) return BadRequest(ms.status().ToString());
-        if (*ms < 0) return BadRequest("deadline must be >= 0 ms");
-        session->deadline_override_ns = static_cast<int64_t>(*ms) * 1'000'000;
+        return ServiceResponse{};
       }
+      Result<int> ms = ParseIntArg(args[0]);
+      if (!ms.ok()) return BadRequest(ms.status().ToString());
+      if (*ms < 0) return BadRequest("deadline must be >= 0 ms");
+      session->deadline_override_ns = static_cast<int64_t>(*ms) * 1'000'000;
       return ServiceResponse{};
     }
     case WireVerb::kProto: {
-      if (args.size() != 1) return BadRequest("usage: proto <1|2>");
-      Result<int> version = ParseInt(args[0]);
+      Result<int> version = ParseIntArg(args[0]);
       if (!version.ok()) return BadRequest(version.status().ToString());
       if (*version != kProtocolTextVersion &&
           *version != kProtocolBinaryVersion) {
@@ -389,41 +268,13 @@ std::optional<ServiceResponse> RequestRouter::HandleSessionVerb(
       response.lines.push_back("proto " + std::to_string(*version));
       return response;
     }
+    case WireVerb::kPromote:
+      return PromoteVerb(service_, session->session_id);
+    case WireVerb::kDemote:
+      return DemoteVerb(service_, session->session_id, args[0], args[1]);
     default:
-      return std::nullopt;
+      return BadRequest("unknown verb");
   }
-}
-
-ServiceResponse RequestRouter::ExecuteBinary(const BinaryRequest& request,
-                                             RouterSession* session,
-                                             std::string* wire) {
-  ServiceCommand command;
-  if (std::optional<ServiceResponse> error = BuildCommand(request, &command)) {
-    return *std::move(error);
-  }
-  command.deadline_ns =
-      session->deadline_override_ns.has_value()
-          ? service_->clock()->NowNs() + *session->deadline_override_ns
-          : 0;
-  if (IsCacheableVerb(request.verb)) {
-    std::shared_ptr<const EngineSnapshot> snapshot =
-        service_->CurrentSnapshot(session->session_id);
-    if (snapshot) {
-      const char* name = WireVerbName(request.verb);
-      std::string key = ResponseCache::Key(name, request.args);
-      if (std::optional<ResponseCache::Hit> hit =
-              cache_.Lookup(key, *snapshot, session->protocol_version)) {
-        service_->NoteCacheHit(session->session_id, name);
-        *wire = std::move(hit->wire);
-        return std::move(hit->response);
-      }
-      ServiceResponse response = service_->Execute(session->session_id,
-                                                   command);
-      if (response.ok()) cache_.Insert(key, *snapshot, response);
-      return response;
-    }
-  }
-  return service_->Execute(session->session_id, command);
 }
 
 std::string RequestRouter::HandleFrame(std::string_view body,
@@ -435,106 +286,48 @@ std::string RequestRouter::HandleFrame(std::string_view body,
 
   if (!decoded->batch) {
     const BinaryRequest& request = decoded->items[0];
-    if (std::optional<ServiceResponse> handled =
-            HandleSessionVerb(request.verb, request.args, session)) {
-      return EncodeBinaryResponse(*handled);
+    const Verb* verb = FindVerb(request.verb);
+    if (std::optional<ServiceResponse> refused =
+            Refuse(verb, "", /*in_batch=*/false, *session)) {
+      return EncodeBinaryResponse(*refused);
     }
-    if (request.verb == WireVerb::kPing) {
-      ServiceResponse response;
-      response.lines.push_back("pong");
-      return EncodeBinaryResponse(response);
-    }
-    if (session->session_id.empty()) {
-      return EncodeBinaryResponse(
-          BadRequest("no session; send: open [project]"));
-    }
-    if (request.verb == WireVerb::kPromote) {
-      if (!request.args.empty()) {
-        return EncodeBinaryResponse(BadRequest("usage: promote"));
-      }
-      return EncodeBinaryResponse(PromoteVerb(service_, session->session_id));
-    }
-    if (request.verb == WireVerb::kDemote) {
-      if (request.args.size() != 2) {
-        return EncodeBinaryResponse(
-            BadRequest("usage: demote <epoch> <leader-addr>"));
-      }
-      return EncodeBinaryResponse(DemoteVerb(service_, session->session_id,
-                                             request.args[0],
-                                             request.args[1]));
-    }
-    std::string wire;
-    ServiceResponse response = ExecuteBinary(request, session, &wire);
-    if (!wire.empty()) return wire;  // pre-serialized cache hit
-    return EncodeBinaryResponse(response);
+    return Respond(*verb, request.args, session, kProtocolBinaryVersion);
   }
 
   // Batch frame: parse every item first, then hand the runnable commands
-  // to the service as ONE pipelined batch. Items that fail to parse (or
-  // are session verbs, which would mutate connection state mid-pipeline)
-  // get their error response in place; the rest keep their order.
+  // to the service as ONE pipelined Execute. Items the router refuses keep
+  // their error in place; the rest keep their order.
   const size_t n = decoded->items.size();
   std::vector<ServiceResponse> out(n);
   std::vector<ServiceCommand> commands;
   std::vector<size_t> slots;
-  std::vector<std::string> keys;  // parallel to `commands`; "" = uncacheable
+  RouterReadCache cache(&cache_, /*wire_protocol=*/0);
   commands.reserve(n);
   slots.reserve(n);
-  keys.reserve(n);
+  const int64_t deadline_ns = DeadlineFor(*session);
   for (size_t i = 0; i < n; ++i) {
     const BinaryRequest& item = decoded->items[i];
-    if (IsSessionVerb(item.verb) || IsFailoverVerb(item.verb)) {
-      const char* name = WireVerbName(item.verb);
-      out[i] = BadRequest(std::string(name ? name : "?") +
-                          " not allowed in batch");
-      continue;
-    }
-    if (session->session_id.empty()) {
-      if (item.verb == WireVerb::kPing) {
-        out[i].lines.push_back("pong");
-      } else {
-        out[i] = BadRequest("no session; send: open [project]");
-      }
+    const Verb* verb = FindVerb(item.verb);
+    if (std::optional<ServiceResponse> refused =
+            Refuse(verb, "", /*in_batch=*/true, *session)) {
+      out[i] = *std::move(refused);
       continue;
     }
     ServiceCommand command;
-    if (std::optional<ServiceResponse> error = BuildCommand(item, &command)) {
-      out[i] = *std::move(error);
+    if (std::string error = ParseArgs(*verb, item.args, &command);
+        !error.empty()) {
+      out[i] = BadRequest(std::move(error));
       continue;
     }
+    command.deadline_ns = deadline_ns;
     slots.push_back(i);
     commands.push_back(std::move(command));
-    keys.push_back(IsCacheableVerb(item.verb)
-                       ? ResponseCache::Key(WireVerbName(item.verb), item.args)
-                       : std::string());
+    cache.Add(*verb, item.args);
   }
-  if (!commands.empty()) {
-    // Bridge the service's per-run cache hook to the router's ResponseCache.
-    // The service hands us the snapshot each read run executes under, so
-    // entries are exactly as fresh as re-executing would be.
-    struct BatchCacheAdapter final : BatchReadCache {
-      ResponseCache* cache = nullptr;
-      const std::vector<std::string>* keys = nullptr;
-      std::optional<ServiceResponse> Lookup(
-          size_t index, const EngineSnapshot& snapshot) override {
-        const std::string& key = (*keys)[index];
-        if (key.empty()) return std::nullopt;
-        return cache->LookupResponse(key, snapshot);
-      }
-      void Insert(size_t index, const EngineSnapshot& snapshot,
-                  const ServiceResponse& response) override {
-        const std::string& key = (*keys)[index];
-        if (!key.empty()) cache->Insert(key, snapshot, response);
-      }
-    };
-    BatchCacheAdapter adapter;
-    adapter.cache = &cache_;
-    adapter.keys = &keys;
-    std::vector<ServiceResponse> results =
-        service_->ExecuteBatch(session->session_id, commands, &adapter);
-    for (size_t j = 0; j < results.size(); ++j) {
-      out[slots[j]] = std::move(results[j]);
-    }
+  std::vector<ServiceResponse> results = service_->Execute(
+      session->session_id, commands, &cache, /*batch_frame=*/true);
+  for (size_t j = 0; j < results.size(); ++j) {
+    out[slots[j]] = std::move(results[j]);
   }
   return EncodeBinaryBatchResponse(out);
 }
@@ -597,200 +390,6 @@ RequestRouter::FeedOutcome RequestRouter::Feed(std::string* input,
   }
   input->erase(0, offset);
   return outcome;
-}
-
-ServiceResponse RequestRouter::Dispatch(const std::string& line,
-                                        RouterSession* session) {
-  // Size and byte-content limits come first: an oversized or NUL-bearing
-  // line is refused before any token of it is interpreted.
-  if (Status valid = ValidateRequestLine(line); !valid.ok()) {
-    return BadRequest(valid.message());
-  }
-  std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.empty()) return BadRequest("empty request");
-  const std::string& verb = tokens[0];
-
-  if (verb == "ping") {
-    ServiceResponse response;
-    response.lines.push_back("pong");
-    return response;
-  }
-
-  if (verb == "proto") {
-    std::vector<std::string> args(tokens.begin() + 1, tokens.end());
-    return *HandleSessionVerb(WireVerb::kProto, args, session);
-  }
-
-  if (verb == "open") {
-    if (tokens.size() > 2) return BadRequest("usage: open [project]");
-    std::string project = tokens.size() == 2 ? tokens[1] : "default";
-    session->session_id = service_->OpenSession(project);
-    ServiceResponse response;
-    response.lines.push_back(session->session_id);
-    return response;
-  }
-
-  if (session->session_id.empty()) {
-    return BadRequest("no session; send: open [project]");
-  }
-
-  if (verb == "close") {
-    Status status = service_->CloseSession(session->session_id);
-    session->session_id.clear();
-    if (!status.ok()) return BadRequest(status.ToString());
-    return {};
-  }
-
-  if (verb == "deadline") {
-    if (tokens.size() != 2) return BadRequest("usage: deadline <ms>|default");
-    if (tokens[1] == "default") {
-      session->deadline_override_ns.reset();
-    } else {
-      Result<int> ms = ParseInt(tokens[1]);
-      if (!ms.ok()) return BadRequest(ms.status().ToString());
-      if (*ms < 0) return BadRequest("deadline must be >= 0 ms");
-      session->deadline_override_ns = static_cast<int64_t>(*ms) * 1'000'000;
-    }
-    return {};
-  }
-
-  // Absolute deadline for this request: connection override, or 0 to let
-  // the service apply its default.
-  int64_t deadline_ns =
-      session->deadline_override_ns.has_value()
-          ? service_->clock()->NowNs() + *session->deadline_override_ns
-          : 0;
-
-  if (verb == "define") {
-    std::string tail = TailAfterVerb(line);
-    if (tail.empty()) return BadRequest("usage: define <escaped-ddl>");
-    Result<std::string> ddl = UnescapeField(tail);
-    if (!ddl.ok()) return BadRequest(ddl.status().ToString());
-    return service_->Define(session->session_id, *ddl, deadline_ns);
-  }
-
-  if (verb == "equiv") {
-    if (tokens.size() != 3) {
-      return BadRequest("usage: equiv <s.o.a> <s.o.a>");
-    }
-    Result<ecr::AttributePath> a = ParsePath(tokens[1]);
-    if (!a.ok()) return BadRequest(a.status().ToString());
-    Result<ecr::AttributePath> b = ParsePath(tokens[2]);
-    if (!b.ok()) return BadRequest(b.status().ToString());
-    return service_->DeclareEquivalence(session->session_id, *a, *b,
-                                        deadline_ns);
-  }
-
-  if (verb == "assert") {
-    if (tokens.size() != 4) {
-      return BadRequest("usage: assert <s.o> <0-5> <s.o>");
-    }
-    Result<core::ObjectRef> first = ParseRef(tokens[1]);
-    if (!first.ok()) return BadRequest(first.status().ToString());
-    Result<int> code = ParseInt(tokens[2]);
-    if (!code.ok()) return BadRequest(code.status().ToString());
-    Result<core::ObjectRef> second = ParseRef(tokens[3]);
-    if (!second.ok()) return BadRequest(second.status().ToString());
-    return service_->AssertRelation(session->session_id, *first, *code,
-                                    *second, deadline_ns);
-  }
-
-  if (verb == "integrate") {
-    std::vector<std::string> schemas(tokens.begin() + 1, tokens.end());
-    return service_->Integrate(session->session_id, std::move(schemas),
-                               deadline_ns);
-  }
-
-  if (verb == "export") {
-    if (tokens.size() != 1) return BadRequest("usage: export");
-    return service_->ExportProject(session->session_id, deadline_ns);
-  }
-
-  if (verb == "rank") {
-    if (tokens.size() < 3 || tokens.size() > 5) {
-      return BadRequest("usage: rank <schema1> <schema2> [rel] [zero]");
-    }
-    core::StructureKind kind = core::StructureKind::kObjectClass;
-    bool include_zero = false;
-    for (size_t i = 3; i < tokens.size(); ++i) {
-      if (tokens[i] == "rel") {
-        kind = core::StructureKind::kRelationshipSet;
-      } else if (tokens[i] == "zero") {
-        include_zero = true;
-      } else {
-        return BadRequest("unknown rank flag '" + tokens[i] + "'");
-      }
-    }
-    return service_->RankedPairs(session->session_id, tokens[1], tokens[2],
-                                 kind, include_zero, deadline_ns);
-  }
-
-  if (verb == "suggest") {
-    if (tokens.size() < 3 || tokens.size() > 4) {
-      return BadRequest("usage: suggest <schema1> <schema2> [threshold]");
-    }
-    double threshold = 0.6;
-    if (tokens.size() == 4) {
-      Result<double> parsed = ParseDouble(tokens[3]);
-      if (!parsed.ok()) return BadRequest(parsed.status().ToString());
-      threshold = *parsed;
-    }
-    return service_->Suggest(session->session_id, tokens[1], tokens[2],
-                             threshold, deadline_ns);
-  }
-
-  if (verb == "translate") {
-    size_t at = 1;
-    bool to_components = false;
-    if (at < tokens.size() && tokens[at] == "components") {
-      to_components = true;
-      ++at;
-    }
-    if (at >= tokens.size()) {
-      return BadRequest(
-          "usage: translate [components] <s.o> [attr,attr,...]");
-    }
-    Result<core::ObjectRef> structure = ParseRef(tokens[at++]);
-    if (!structure.ok()) return BadRequest(structure.status().ToString());
-    core::Request request;
-    request.structure = *structure;
-    if (at < tokens.size()) {
-      for (const std::string& attribute : Split(tokens[at], ',')) {
-        if (!attribute.empty()) request.attributes.push_back(attribute);
-      }
-      ++at;
-    }
-    if (at != tokens.size()) {
-      return BadRequest(
-          "usage: translate [components] <s.o> [attr,attr,...]");
-    }
-    return service_->Translate(session->session_id, request, to_components,
-                               deadline_ns);
-  }
-
-  if (verb == "outline") {
-    if (tokens.size() != 1) return BadRequest("usage: outline");
-    return service_->IntegratedOutline(session->session_id, deadline_ns);
-  }
-
-  if (verb == "metrics") {
-    if (tokens.size() != 1) return BadRequest("usage: metrics");
-    return service_->MetricsDump(session->session_id, deadline_ns);
-  }
-
-  if (verb == "promote") {
-    if (tokens.size() != 1) return BadRequest("usage: promote");
-    return PromoteVerb(service_, session->session_id);
-  }
-
-  if (verb == "demote") {
-    if (tokens.size() != 3) {
-      return BadRequest("usage: demote <epoch> <leader-addr>");
-    }
-    return DemoteVerb(service_, session->session_id, tokens[1], tokens[2]);
-  }
-
-  return BadRequest("unknown verb '" + verb + "'");
 }
 
 }  // namespace ecrint::service

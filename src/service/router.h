@@ -2,14 +2,15 @@
 #define ECRINT_SERVICE_ROUTER_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "service/protocol.h"
 #include "service/response_cache.h"
 #include "service/service.h"
+#include "service/verbs.h"
 
 namespace ecrint::service {
 
@@ -36,24 +37,15 @@ struct RouterSession {
 // in the RouterSession the transport passes in, all shared state in the
 // service (plus the router's ResponseCache, which is internally locked).
 //
-// Verbs (see docs/FORMATS.md for the grammar):
-//   open [project]              bind this connection to a session
-//   close                       end the session
-//   deadline <ms>|default       set/reset the connection's deadline
-//   proto <1|2>                 negotiate the wire protocol version
-//   define <ddl>                (write) parse DDL into the catalog
-//   equiv <a.b.c> <d.e.f>       (write) declare attributes equivalent
-//   assert <s.o> <0-5> <s.o>    (write) record a domain-relation assertion
-//   integrate [schema ...]      (write) integrate; returns the outline
-//   export                      (write lock) serialize the project
-//   rank <s1> <s2> [rel] [zero] (read) Screen-8 ranked pairs
-//   suggest <s1> <s2> [thresh]  (read) heuristic equivalence proposals
-//   translate [components] <s.o> [a,b,...]   (read) request translation
-//   outline                     (read) integrated-schema outline
-//   metrics                     (read) MetricsJson dump
-//   ping                        liveness, no session required
-//   promote                     (admin) lead the project at a bumped epoch
-//   demote <epoch> <addr>       (admin) fence this node behind a new leader
+// Both protocols take one path: a text line is tokenized (define's escaped
+// tail becomes one unescaped argument), a binary request arrives as a
+// verb code plus raw arguments, and either way the request resolves to a
+// row of the verb table (service/verbs.cc — names, arity, grammar, flags)
+// whose parser builds the ServiceCommand. Connection verbs (open / close /
+// deadline / proto) and failover admin verbs (promote / demote) are
+// answered here; every other request runs through
+// IntegrationService::Execute, a lone request as a batch of one. The
+// grammar is documented in docs/FORMATS.md.
 class RequestRouter {
  public:
   explicit RequestRouter(IntegrationService* service) : service_(service) {
@@ -69,8 +61,9 @@ class RequestRouter {
   // what ExtractFrame hands back) and returns a complete response frame
   // (length prefix included). A request frame yields a response frame; a
   // batch frame yields a batch response frame with one entry per item, in
-  // order. Session verbs (open / close / deadline / proto) are rejected
-  // inside batches: they mutate connection state mid-pipeline.
+  // order. Verbs the table marks unbatchable (connection and failover
+  // verbs) are rejected inside batches: they mutate connection or node
+  // state mid-pipeline.
   std::string HandleFrame(std::string_view body, RouterSession* session);
 
   // Incremental transport feed: the event-driven front end calls this with
@@ -94,32 +87,25 @@ class RequestRouter {
   FeedOutcome Feed(std::string* input, RouterSession* session,
                    std::string* output, std::string* handoff);
 
-  // Same, but executes on a common::ThreadPool::Shared() worker and
-  // invokes `done` with the framed response from that worker. The caller
-  // must keep `session` alive and must not issue another request on the
-  // same RouterSession until `done` ran (one connection = one request in
-  // flight, exactly like a blocking transport).
-  void HandleLineAsync(std::string line, RouterSession* session,
-                       std::function<void(std::string)> done);
-  void HandleFrameAsync(std::string body, RouterSession* session,
-                        std::function<void(std::string)> done);
-
   IntegrationService* service() { return service_; }
   ResponseCache& cache() { return cache_; }
 
  private:
-  ServiceResponse Dispatch(const std::string& line, RouterSession* session);
+  // One request of either protocol that passed the router's checks (a
+  // known verb, a session when the verb needs one). Returns the response
+  // in `protocol`'s framing.
+  std::string Respond(const Verb& verb, const std::vector<std::string>& args,
+                      RouterSession* session, int protocol);
 
-  // Session-plane verbs shared by both protocols. Each returns nullopt
-  // when `verb` is not its verb.
-  std::optional<ServiceResponse> HandleSessionVerb(
-      WireVerb verb, const std::vector<std::string>& args,
-      RouterSession* session);
+  // The connection's deadline override as an absolute deadline, or 0 for
+  // the service default.
+  int64_t DeadlineFor(const RouterSession& session) const;
 
-  // One non-session binary request -> ServiceCommand -> Execute, through
-  // the response cache for cacheable read verbs.
-  ServiceResponse ExecuteBinary(const BinaryRequest& request,
-                                RouterSession* session, std::string* wire);
+  // Connection verbs (open / close / deadline / proto) and failover verbs
+  // (promote / demote): the rows without a parser.
+  ServiceResponse HandleLocalVerb(const Verb& verb,
+                                  const std::vector<std::string>& args,
+                                  RouterSession* session);
 
   IntegrationService* service_;
   ResponseCache cache_;

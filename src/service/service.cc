@@ -1,11 +1,13 @@
 #include "service/service.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/strings.h"
 #include "core/assertion.h"
 #include "core/project_io.h"
 #include "ecr/printer.h"
+#include "service/verbs.h"
 
 namespace ecrint::service {
 
@@ -51,13 +53,12 @@ ServiceResponse WriteFailure(const engine::Engine& engine,
   return ErrorResponse(std::move(error));
 }
 
-// --- shared verb bodies ----------------------------------------------------
-// One body per verb, shared between the typed single-request methods and
-// the batch executor so both paths produce byte-identical payloads.
+// --- verb bodies -----------------------------------------------------------
 
-ServiceResponse DefineBody(engine::Engine& engine, const std::string& ddl) {
+ServiceResponse DefineBody(engine::Engine& engine,
+                           const ServiceCommand& command) {
   size_t before = engine.diagnostics().size();
-  Result<std::vector<std::string>> names = engine.DefineSchema(ddl);
+  Result<std::vector<std::string>> names = engine.DefineSchema(command.text);
   if (!names.ok()) {
     return WriteFailure(engine, before, names.status());
   }
@@ -71,8 +72,10 @@ ServiceResponse DefineBody(engine::Engine& engine, const std::string& ddl) {
   return response;
 }
 
-ServiceResponse EquivBody(engine::Engine& engine, const ecr::AttributePath& a,
-                          const ecr::AttributePath& b) {
+ServiceResponse EquivBody(engine::Engine& engine,
+                          const ServiceCommand& command) {
+  const ecr::AttributePath& a = command.path_a;
+  const ecr::AttributePath& b = command.path_b;
   size_t before = engine.diagnostics().size();
   Status status = engine.AssertEquivalence(a, b);
   if (!status.ok()) {
@@ -84,9 +87,11 @@ ServiceResponse EquivBody(engine::Engine& engine, const ecr::AttributePath& a,
 }
 
 ServiceResponse AssertBody(engine::Engine& engine,
-                           const core::ObjectRef& first, int type_code,
-                           const core::ObjectRef& second) {
-  Result<core::AssertionType> type = core::AssertionTypeFromCode(type_code);
+                           const ServiceCommand& command) {
+  const core::ObjectRef& first = command.first;
+  const core::ObjectRef& second = command.second;
+  Result<core::AssertionType> type =
+      core::AssertionTypeFromCode(command.type_code);
   if (!type.ok()) {
     return ErrorResponse(ErrorFromStatus(type.status()));
   }
@@ -98,7 +103,7 @@ ServiceResponse AssertBody(engine::Engine& engine,
   }
   ServiceResponse response;
   response.lines.push_back("asserted " + first.ToString() + " " +
-                           std::to_string(type_code) + " " +
+                           std::to_string(command.type_code) + " " +
                            second.ToString());
   return response;
 }
@@ -110,11 +115,10 @@ ServiceResponse ExportBody(engine::Engine& engine) {
 }
 
 ServiceResponse RankBody(const EngineSnapshot& snapshot,
-                         const std::string& schema1,
-                         const std::string& schema2, core::StructureKind kind,
-                         bool include_zero) {
+                         const ServiceCommand& command) {
   Result<std::vector<core::ObjectPair>> ranked =
-      SnapshotRankedPairs(snapshot, schema1, schema2, kind, include_zero);
+      SnapshotRankedPairs(snapshot, command.schema1, command.schema2,
+                          command.kind, command.include_zero);
   if (!ranked.ok()) {
     return ErrorResponse(ErrorFromStatus(ranked.status()));
   }
@@ -128,10 +132,10 @@ ServiceResponse RankBody(const EngineSnapshot& snapshot,
 }
 
 ServiceResponse SuggestBody(const EngineSnapshot& snapshot,
-                            const std::string& schema1,
-                            const std::string& schema2, double threshold) {
+                            const ServiceCommand& command) {
   Result<std::vector<heuristics::EquivalenceSuggestion>> suggestions =
-      SnapshotSuggest(snapshot, schema1, schema2, threshold,
+      SnapshotSuggest(snapshot, command.schema1, command.schema2,
+                      command.threshold,
                       /*object_threshold=*/0.0, /*max_results=*/0);
   if (!suggestions.ok()) {
     return ErrorResponse(ErrorFromStatus(suggestions.status()));
@@ -145,10 +149,10 @@ ServiceResponse SuggestBody(const EngineSnapshot& snapshot,
 }
 
 ServiceResponse TranslateBody(const EngineSnapshot& snapshot,
-                              const core::Request& request,
-                              bool to_components) {
+                              const ServiceCommand& command) {
+  const core::Request& request = command.request;
   ServiceResponse response;
-  if (to_components) {
+  if (command.to_components) {
     Result<core::FanoutPlan> plan =
         SnapshotTranslateToComponents(snapshot, request);
     if (!plan.ok()) {
@@ -204,47 +208,6 @@ ServiceError ErrorFromStatus(const Status& status) {
   return error;
 }
 
-bool IsWriteCommand(ServiceCommand::Op op) {
-  switch (op) {
-    case ServiceCommand::Op::kDefine:
-    case ServiceCommand::Op::kEquiv:
-    case ServiceCommand::Op::kAssert:
-    case ServiceCommand::Op::kIntegrate:
-    case ServiceCommand::Op::kExport:
-      return true;
-    default:
-      return false;
-  }
-}
-
-const char* CommandVerbName(ServiceCommand::Op op) {
-  switch (op) {
-    case ServiceCommand::Op::kPing:
-      return "ping";
-    case ServiceCommand::Op::kDefine:
-      return "define";
-    case ServiceCommand::Op::kEquiv:
-      return "equiv";
-    case ServiceCommand::Op::kAssert:
-      return "assert";
-    case ServiceCommand::Op::kIntegrate:
-      return "integrate";
-    case ServiceCommand::Op::kExport:
-      return "export";
-    case ServiceCommand::Op::kRank:
-      return "rank";
-    case ServiceCommand::Op::kSuggest:
-      return "suggest";
-    case ServiceCommand::Op::kTranslate:
-      return "translate";
-    case ServiceCommand::Op::kOutline:
-      return "outline";
-    case ServiceCommand::Op::kMetrics:
-      return "metrics";
-  }
-  return "unknown";
-}
-
 IntegrationService::IntegrationService(ServiceConfig config)
     : config_(config),
       clock_(config.clock != nullptr ? config.clock : common::RealClock()),
@@ -253,16 +216,16 @@ IntegrationService::IntegrationService(ServiceConfig config)
   // Resolve every instrument the request path touches up front: the
   // registry hands out stable pointers, so the hot path never takes the
   // registry mutex or builds "requests.<verb>" strings per request.
-  static constexpr const char* kVerbs[] = {
-      "ping",      "define", "equiv",   "assert",  "integrate", "export",
-      "rank",      "suggest", "translate", "outline", "metrics", "batch",
+  auto stats_for = [this](const std::string& verb) {
+    return VerbStats{metrics_.GetCounter("requests." + verb),
+                     metrics_.GetHistogram("latency." + verb)};
   };
-  for (const char* verb : kVerbs) {
-    verb_stats_[verb] = {
-        metrics_.GetCounter(std::string("requests.") + verb),
-        metrics_.GetHistogram(std::string("latency.") + verb),
-    };
+  for (const Verb& verb : Verbs()) {
+    if (verb.parse != nullptr) {
+      op_stats_[static_cast<size_t>(verb.op)] = stats_for(verb.name);
+    }
   }
+  batch_stats_ = stats_for("batch");
   for (int code = 0; code < static_cast<int>(error_counters_.size()); ++code) {
     error_counters_[code] = metrics_.GetCounter(
         std::string("errors.") +
@@ -283,16 +246,6 @@ IntegrationService::IntegrationService(ServiceConfig config)
   // second) instead of on every request.
   int64_t quarter = config_.session_idle_timeout_ns / 4;
   reap_interval_ns_ = quarter < 1'000'000'000 ? quarter : 1'000'000'000;
-}
-
-IntegrationService::VerbStats IntegrationService::StatsFor(
-    std::string_view verb) {
-  auto it = verb_stats_.find(verb);
-  if (it != verb_stats_.end()) return it->second;
-  // Unknown verb (shouldn't happen): resolve through the registry.
-  std::string name(verb);
-  return {metrics_.GetCounter("requests." + name),
-          metrics_.GetHistogram("latency." + name)};
 }
 
 void IntegrationService::MaybeReapSessions() {
@@ -379,52 +332,6 @@ IntegrationService::ProjectState* IntegrationService::ProjectForSession(
   return project;
 }
 
-template <typename Fn>
-ServiceResponse IntegrationService::Admit(const std::string& session_id,
-                                          const char* verb,
-                                          int64_t deadline_ns, Fn&& fn) {
-  // Opportunistic (throttled) reaping keeps the session table tight
-  // without a timer thread.
-  MaybeReapSessions();
-  VerbStats stats = StatsFor(verb);
-  stats.requests->Increment();
-
-  ServiceResponse response;
-  Result<std::string> project_name = sessions_.TouchAndProject(session_id);
-  ProjectState* project = nullptr;
-  if (!project_name.ok()) {
-    response.error = ErrorFromStatus(project_name.status());
-  } else if ((project = FindProject(*project_name)) == nullptr) {
-    response.error = {ServiceErrorCode::kBadRequest,
-                      "no project '" + *project_name + "'"};
-  } else {
-    int64_t now = clock_->NowNs();
-    int64_t deadline =
-        deadline_ns > 0 ? deadline_ns : now + config_.default_deadline_ns;
-
-    int64_t in_flight =
-        in_flight_.fetch_add(1, std::memory_order_relaxed) + 1;
-    queue_depth_->Set(in_flight);
-    if (in_flight > config_.queue_depth) {
-      response.error = {ServiceErrorCode::kOverloaded,
-                        "request queue at capacity (" +
-                            std::to_string(config_.queue_depth) + ")"};
-    } else if (now >= deadline) {
-      response.error = {ServiceErrorCode::kTimeout,
-                        "deadline expired before execution"};
-    } else {
-      common::Stopwatch watch(clock_);
-      response = fn(*project, deadline);
-      stats.latency->Record(watch.ElapsedNs() / 1000);
-    }
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  if (response.error.has_value()) {
-    error_counters_[static_cast<int>(response.error->code)]->Increment();
-  }
-  return response;
-}
-
 void IntegrationService::RecordClosureMetrics(ProjectState& project,
                                               const core::ClosureStats& before) {
   const core::ClosureStats after = project.engine.ClosureTotals();
@@ -474,54 +381,6 @@ ServiceError IntegrationService::UnavailableError(
                             project.degraded_reason + ")";
   error.retry_after_ms = config_.durability.degraded_retry_after_ms;
   return error;
-}
-
-template <typename Fn>
-ServiceResponse IntegrationService::RunWrite(ProjectState& project,
-                                             int64_t deadline_ns,
-                                             const engine::ReplayVerb* verb,
-                                             Fn&& fn) {
-  std::lock_guard<std::mutex> lock(project.write_mutex);
-  // Time queued behind other writers counts against the deadline: a client
-  // whose deadline lapsed while waiting sees TIMEOUT, not a late mutation.
-  if (clock_->NowNs() >= deadline_ns) {
-    return ErrorResponse({ServiceErrorCode::kTimeout,
-                          "deadline expired while queued for write"});
-  }
-  if (verb != nullptr) {
-    if (!LeadsWrites()) {
-      // Read replica (or a fenced deposed leader): the leader's
-      // replication stream is the only writer (it enters through
-      // ApplyReplicated, not here). The role is dynamic — a promote lifts
-      // the gate, a demote (re)sets it.
-      return ErrorResponse(NotLeaderError(CurrentLeaderAddr()));
-    }
-    if (project.degraded) {
-      return ErrorResponse(UnavailableError(project));
-    }
-    if (project.durability != nullptr) {
-      // WAL-first: the verb hits the journal before the engine, so a
-      // journal failure leaves memory and disk agreeing (verb happened
-      // nowhere) and the project flips to degraded read-only mode.
-      Status logged = project.durability->LogVerb(*verb);
-      if (!logged.ok()) {
-        DegradeProject(project, logged);
-        return ErrorResponse(UnavailableError(project));
-      }
-    }
-  }
-  const core::ClosureStats closure_before = project.engine.ClosureTotals();
-  ServiceResponse response = fn(project.engine);
-  RecordClosureMetrics(project, closure_before);
-  if (project.snapshots.Publish(project.engine)) {
-    snapshots_published_->Increment();
-  }
-  // After publish so the checkpoint captures the published stamp (publish
-  // materializes the equivalence map; replay mirrors that).
-  if (verb != nullptr && project.durability != nullptr) {
-    project.durability->MaybeCheckpoint(project.engine);
-  }
-  return response;
 }
 
 // ---------------------------------------------------------------------------
@@ -823,15 +682,36 @@ int IntegrationService::CheckpointProjects() {
 }
 
 // ---------------------------------------------------------------------------
-// Write verbs.
+// Command plane: the one entry every request takes.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// The replay-journal record for a write command; nullopt for export, which
+// mutates nothing and is never journaled.
+std::optional<engine::ReplayVerb> ReplayVerbFor(const ServiceCommand& command) {
+  switch (command.op) {
+    case ServiceCommand::Op::kDefine:
+      return engine::DefineVerb(command.text);
+    case ServiceCommand::Op::kEquiv:
+      return engine::EquivalenceVerb(command.path_a, command.path_b);
+    case ServiceCommand::Op::kAssert:
+      return engine::RelationVerb(command.first, command.type_code,
+                                  command.second);
+    case ServiceCommand::Op::kIntegrate:
+      return engine::IntegrateVerb(command.schemas);
+    default:
+      return std::nullopt;
+  }
+}
+
+}  // namespace
+
 ServiceResponse IntegrationService::IntegrateBody(
-    ProjectState& project, engine::Engine& engine,
-    std::vector<std::string> schemas) {
+    ProjectState& project, const std::vector<std::string>& schemas) {
+  engine::Engine& engine = project.engine;
   size_t before = engine.diagnostics().size();
-  Result<const core::IntegrationResult*> result =
-      engine.Integrate(std::move(schemas));
+  Result<const core::IntegrationResult*> result = engine.Integrate(schemas);
   if (!result.ok()) {
     return WriteFailure(engine, before, result.status());
   }
@@ -863,336 +743,173 @@ ServiceResponse IntegrationService::IntegrateBody(
   return response;
 }
 
-ServiceResponse IntegrationService::Define(const std::string& session_id,
-                                           const std::string& ddl,
-                                           int64_t deadline_ns) {
-  return Admit(session_id, "define", deadline_ns,
-               [&](ProjectState& project, int64_t deadline) {
-                 engine::ReplayVerb verb = engine::DefineVerb(ddl);
-                 return RunWrite(project, deadline, &verb,
-                                 [&](engine::Engine& engine) {
-                                   return DefineBody(engine, ddl);
-                                 });
-               });
-}
-
-ServiceResponse IntegrationService::DeclareEquivalence(
-    const std::string& session_id, const ecr::AttributePath& a,
-    const ecr::AttributePath& b, int64_t deadline_ns) {
-  return Admit(session_id, "equiv", deadline_ns,
-               [&](ProjectState& project, int64_t deadline) {
-                 engine::ReplayVerb verb = engine::EquivalenceVerb(a, b);
-                 return RunWrite(project, deadline, &verb,
-                                 [&](engine::Engine& engine) {
-                                   return EquivBody(engine, a, b);
-                                 });
-               });
-}
-
-ServiceResponse IntegrationService::AssertRelation(
-    const std::string& session_id, const core::ObjectRef& first,
-    int type_code, const core::ObjectRef& second, int64_t deadline_ns) {
-  return Admit(session_id, "assert", deadline_ns,
-               [&](ProjectState& project, int64_t deadline) {
-                 engine::ReplayVerb verb =
-                     engine::RelationVerb(first, type_code, second);
-                 return RunWrite(project, deadline, &verb,
-                                 [&](engine::Engine& engine) {
-                                   return AssertBody(engine, first,
-                                                     type_code, second);
-                                 });
-               });
-}
-
-ServiceResponse IntegrationService::Integrate(
-    const std::string& session_id, std::vector<std::string> schemas,
-    int64_t deadline_ns) {
-  return Admit(session_id, "integrate", deadline_ns,
-               [&](ProjectState& project, int64_t deadline) {
-                 engine::ReplayVerb verb = engine::IntegrateVerb(schemas);
-                 return RunWrite(project, deadline, &verb,
-                                 [&](engine::Engine& engine) {
-                                   return IntegrateBody(project, engine,
-                                                        std::move(schemas));
-                                 });
-               });
-}
-
-ServiceResponse IntegrationService::ExportProject(
-    const std::string& session_id, int64_t deadline_ns) {
-  return Admit(session_id, "export", deadline_ns,
-               [&](ProjectState& project, int64_t deadline) {
-                 // Export mutates nothing; it rides the write lock only for
-                 // a consistent view, so it is not journaled and still
-                 // works in degraded mode.
-                 return RunWrite(project, deadline, /*verb=*/nullptr,
-                                 [&](engine::Engine& engine) {
-                                   return ExportBody(engine);
-                                 });
-               });
-}
-
-// ---------------------------------------------------------------------------
-// Read verbs: snapshot-only, no engine access, no project lock.
-// ---------------------------------------------------------------------------
-
-ServiceResponse IntegrationService::RankedPairs(
-    const std::string& session_id, const std::string& schema1,
-    const std::string& schema2, core::StructureKind kind, bool include_zero,
-    int64_t deadline_ns) {
-  return Admit(session_id, "rank", deadline_ns,
-               [&](ProjectState& project, int64_t) {
-                 std::shared_ptr<const EngineSnapshot> snapshot =
-                     project.snapshots.Current();
-                 return RankBody(*snapshot, schema1, schema2, kind,
-                                 include_zero);
-               });
-}
-
-ServiceResponse IntegrationService::Suggest(const std::string& session_id,
-                                            const std::string& schema1,
-                                            const std::string& schema2,
-                                            double threshold,
-                                            int64_t deadline_ns) {
-  return Admit(session_id, "suggest", deadline_ns,
-               [&](ProjectState& project, int64_t) {
-                 std::shared_ptr<const EngineSnapshot> snapshot =
-                     project.snapshots.Current();
-                 return SuggestBody(*snapshot, schema1, schema2, threshold);
-               });
-}
-
-ServiceResponse IntegrationService::Translate(const std::string& session_id,
-                                              const core::Request& request,
-                                              bool to_components,
-                                              int64_t deadline_ns) {
-  return Admit(session_id, "translate", deadline_ns,
-               [&](ProjectState& project, int64_t) {
-                 std::shared_ptr<const EngineSnapshot> snapshot =
-                     project.snapshots.Current();
-                 return TranslateBody(*snapshot, request, to_components);
-               });
-}
-
-ServiceResponse IntegrationService::IntegratedOutline(
-    const std::string& session_id, int64_t deadline_ns) {
-  return Admit(session_id, "outline", deadline_ns,
-               [&](ProjectState& project, int64_t) {
-                 std::shared_ptr<const EngineSnapshot> snapshot =
-                     project.snapshots.Current();
-                 return OutlineBody(*snapshot);
-               });
-}
-
-ServiceResponse IntegrationService::MetricsDump(
-    const std::string& session_id, int64_t deadline_ns) {
-  return Admit(session_id, "metrics", deadline_ns,
-               [&](ProjectState&, int64_t) {
-                 ServiceResponse response;
-                 response.lines.push_back(metrics_.MetricsJson());
-                 return response;
-               });
-}
-
-// ---------------------------------------------------------------------------
-// Command plane: protocol-independent dispatch and pipelined batches.
-// ---------------------------------------------------------------------------
-
-ServiceResponse IntegrationService::Execute(const std::string& session_id,
-                                            const ServiceCommand& command) {
-  switch (command.op) {
-    case ServiceCommand::Op::kPing: {
-      ServiceResponse response;
-      response.lines.push_back("pong");
-      return response;
-    }
-    case ServiceCommand::Op::kDefine:
-      return Define(session_id, command.text, command.deadline_ns);
-    case ServiceCommand::Op::kEquiv:
-      return DeclareEquivalence(session_id, command.path_a, command.path_b,
-                                command.deadline_ns);
-    case ServiceCommand::Op::kAssert:
-      return AssertRelation(session_id, command.first, command.type_code,
-                            command.second, command.deadline_ns);
-    case ServiceCommand::Op::kIntegrate:
-      return Integrate(session_id, command.schemas, command.deadline_ns);
-    case ServiceCommand::Op::kExport:
-      return ExportProject(session_id, command.deadline_ns);
-    case ServiceCommand::Op::kRank:
-      return RankedPairs(session_id, command.schema1, command.schema2,
-                         command.kind, command.include_zero,
-                         command.deadline_ns);
-    case ServiceCommand::Op::kSuggest:
-      return Suggest(session_id, command.schema1, command.schema2,
-                     command.threshold, command.deadline_ns);
-    case ServiceCommand::Op::kTranslate:
-      return Translate(session_id, command.request, command.to_components,
-                       command.deadline_ns);
-    case ServiceCommand::Op::kOutline:
-      return IntegratedOutline(session_id, command.deadline_ns);
-    case ServiceCommand::Op::kMetrics:
-      return MetricsDump(session_id, command.deadline_ns);
-  }
-  return ErrorResponse({ServiceErrorCode::kBadRequest, "unknown command"});
-}
-
-ServiceResponse IntegrationService::ReadCommandBody(
-    const EngineSnapshot& snapshot, const ServiceCommand& command) {
-  switch (command.op) {
-    case ServiceCommand::Op::kPing: {
-      ServiceResponse response;
-      response.lines.push_back("pong");
-      return response;
-    }
-    case ServiceCommand::Op::kRank:
-      return RankBody(snapshot, command.schema1, command.schema2,
-                      command.kind, command.include_zero);
-    case ServiceCommand::Op::kSuggest:
-      return SuggestBody(snapshot, command.schema1, command.schema2,
-                         command.threshold);
-    case ServiceCommand::Op::kTranslate:
-      return TranslateBody(snapshot, command.request, command.to_components);
-    case ServiceCommand::Op::kOutline:
-      return OutlineBody(snapshot);
-    case ServiceCommand::Op::kMetrics: {
-      ServiceResponse response;
-      response.lines.push_back(metrics_.MetricsJson());
-      return response;
-    }
-    default:
-      return ErrorResponse(
-          {ServiceErrorCode::kBadRequest, "not a read command"});
-  }
-}
-
 ServiceResponse IntegrationService::WriteCommandBody(
-    ProjectState& project, engine::Engine& engine,
-    const ServiceCommand& command) {
+    ProjectState& project, const ServiceCommand& command) {
   switch (command.op) {
     case ServiceCommand::Op::kDefine:
-      return DefineBody(engine, command.text);
+      return DefineBody(project.engine, command);
     case ServiceCommand::Op::kEquiv:
-      return EquivBody(engine, command.path_a, command.path_b);
+      return EquivBody(project.engine, command);
     case ServiceCommand::Op::kAssert:
-      return AssertBody(engine, command.first, command.type_code,
-                        command.second);
+      return AssertBody(project.engine, command);
     case ServiceCommand::Op::kIntegrate:
-      return IntegrateBody(project, engine, command.schemas);
+      return IntegrateBody(project, command.schemas);
     case ServiceCommand::Op::kExport:
-      return ExportBody(engine);
+      return ExportBody(project.engine);
     default:
       return ErrorResponse(
           {ServiceErrorCode::kBadRequest, "not a write command"});
   }
 }
 
-// The replay-journal record for a write command; nullopt for export, which
-// mutates nothing and is never journaled.
-static std::optional<engine::ReplayVerb> ReplayVerbFor(
-    const ServiceCommand& command) {
+ServiceResponse IntegrationService::ReadCommandBody(
+    const EngineSnapshot& snapshot, const ServiceCommand& command) {
+  ServiceResponse response;
   switch (command.op) {
-    case ServiceCommand::Op::kDefine:
-      return engine::DefineVerb(command.text);
-    case ServiceCommand::Op::kEquiv:
-      return engine::EquivalenceVerb(command.path_a, command.path_b);
-    case ServiceCommand::Op::kAssert:
-      return engine::RelationVerb(command.first, command.type_code,
-                                  command.second);
-    case ServiceCommand::Op::kIntegrate:
-      return engine::IntegrateVerb(command.schemas);
+    case ServiceCommand::Op::kPing:
+      response.lines.push_back("pong");
+      return response;
+    case ServiceCommand::Op::kRank:
+      return RankBody(snapshot, command);
+    case ServiceCommand::Op::kSuggest:
+      return SuggestBody(snapshot, command);
+    case ServiceCommand::Op::kTranslate:
+      return TranslateBody(snapshot, command);
+    case ServiceCommand::Op::kOutline:
+      return OutlineBody(snapshot);
+    case ServiceCommand::Op::kMetrics:
+      response.lines.push_back(metrics_.MetricsJson());
+      return response;
     default:
-      return std::nullopt;
+      return ErrorResponse(
+          {ServiceErrorCode::kBadRequest, "not a read command"});
   }
 }
 
-std::vector<ServiceResponse> IntegrationService::ExecuteBatch(
-    const std::string& session_id,
-    const std::vector<ServiceCommand>& commands, BatchReadCache* cache) {
+std::vector<ServiceResponse> IntegrationService::Execute(
+    const std::string& session_id, std::span<const ServiceCommand> commands,
+    BatchReadCache* cache, bool batch_frame) {
+  const int64_t start_ns = clock_->NowNs();
   std::vector<ServiceResponse> out(commands.size());
-  if (commands.empty()) return out;
-  MaybeReapSessions();
-  VerbStats batch_stats = StatsFor("batch");
-  batch_stats.requests->Increment();
-  batch_size_->Record(static_cast<int64_t>(commands.size()));
+  std::vector<int64_t> finished_ns(commands.size(), 0);
+  // Counted before anything runs, so a `metrics` request sees itself.
+  bool needs_project = false;
+  for (const ServiceCommand& command : commands) {
+    op_stats_[static_cast<size_t>(command.op)].requests->Increment();
+    needs_project |= !VerbOf(command.op).session_free();
+  }
+  if (batch_frame) {
+    batch_stats_.requests->Increment();
+    batch_size_->Record(static_cast<int64_t>(commands.size()));
+  }
 
-  auto fail_all = [&](const ServiceError& error) {
-    for (ServiceResponse& response : out) response.error = error;
-  };
-
-  Result<std::string> project_name = sessions_.TouchAndProject(session_id);
-  ProjectState* project = nullptr;
-  if (!project_name.ok()) {
-    fail_all(ErrorFromStatus(project_name.status()));
-  } else if ((project = FindProject(*project_name)) == nullptr) {
-    fail_all({ServiceErrorCode::kBadRequest,
-              "no project '" + *project_name + "'"});
+  if (!needs_project) {
+    // Ping only: liveness needs neither a session nor an admission slot.
+    for (ServiceResponse& response : out) response.lines.push_back("pong");
   } else {
-    // ONE admission charge for the whole batch.
-    int64_t now = clock_->NowNs();
-    int64_t deadline = now + config_.default_deadline_ns;
-    int64_t in_flight = in_flight_.fetch_add(1, std::memory_order_relaxed) + 1;
-    queue_depth_->Set(in_flight);
-    if (in_flight > config_.queue_depth) {
-      fail_all({ServiceErrorCode::kOverloaded,
-                "request queue at capacity (" +
-                    std::to_string(config_.queue_depth) + ")"});
+    // Opportunistic (throttled) reaping keeps the session table tight
+    // without a timer thread.
+    MaybeReapSessions();
+    std::optional<ServiceError> refused;
+    Result<std::string> project_name = sessions_.TouchAndProject(session_id);
+    ProjectState* project = nullptr;
+    if (!project_name.ok()) {
+      refused = ErrorFromStatus(project_name.status());
+    } else if ((project = FindProject(*project_name)) == nullptr) {
+      refused = ServiceError(ServiceErrorCode::kBadRequest,
+                             "no project '" + *project_name + "'");
     } else {
-      common::Stopwatch watch(clock_);
-      RunBatch(*project, deadline, commands, out, cache);
-      batch_stats.latency->Record(watch.ElapsedNs() / 1000);
+      // ONE admission charge for the whole call.
+      const int64_t deadline = commands.front().deadline_ns > 0
+                                   ? commands.front().deadline_ns
+                                   : start_ns + config_.default_deadline_ns;
+      int64_t in_flight =
+          in_flight_.fetch_add(1, std::memory_order_relaxed) + 1;
+      queue_depth_->Set(in_flight);
+      if (in_flight > config_.queue_depth) {
+        refused = ServiceError(ServiceErrorCode::kOverloaded,
+                               "request queue at capacity (" +
+                                   std::to_string(config_.queue_depth) + ")");
+      } else if (start_ns >= deadline) {
+        refused = ServiceError(ServiceErrorCode::kTimeout,
+                               "deadline expired before execution");
+      } else {
+        RunCommands(*project, *project_name, deadline, commands, out,
+                    finished_ns, cache);
+      }
+      in_flight_.fetch_sub(1, std::memory_order_relaxed);
     }
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  for (const ServiceResponse& response : out) {
-    if (response.error.has_value()) {
-      error_counters_[static_cast<int>(response.error->code)]->Increment();
+    if (refused.has_value()) {
+      for (ServiceResponse& response : out) response.error = *refused;
     }
   }
+
+  // Exactly one latency sample per counted request, cache hits included.
+  const int64_t end_ns = clock_->NowNs();
+  for (size_t k = 0; k < commands.size(); ++k) {
+    const int64_t done_ns = finished_ns[k] > 0 ? finished_ns[k] : end_ns;
+    op_stats_[static_cast<size_t>(commands[k].op)].latency->Record(
+        (done_ns - start_ns) / 1000);
+    if (out[k].error.has_value()) {
+      error_counters_[static_cast<int>(out[k].error->code)]->Increment();
+    }
+  }
+  if (batch_frame) batch_stats_.latency->Record((end_ns - start_ns) / 1000);
   return out;
 }
 
-void IntegrationService::RunBatch(ProjectState& project, int64_t deadline_ns,
-                                  const std::vector<ServiceCommand>& commands,
-                                  std::vector<ServiceResponse>& out,
-                                  BatchReadCache* cache) {
+void IntegrationService::RunCommands(ProjectState& project,
+                                     const std::string& project_name,
+                                     int64_t deadline_ns,
+                                     std::span<const ServiceCommand> commands,
+                                     std::vector<ServiceResponse>& out,
+                                     std::vector<int64_t>& finished_ns,
+                                     BatchReadCache* cache) {
   const size_t n = commands.size();
-  size_t i = 0;
-  while (i < n) {
-    if (!IsWriteCommand(commands[i].op)) {
-      // Read run: every read in the run shares ONE snapshot acquisition.
-      // Cache lookups validate against this same snapshot, so a read that
-      // follows a write run in the batch can never be served a pre-write
-      // answer.
-      std::shared_ptr<const EngineSnapshot> snapshot =
-          project.snapshots.Current();
-      for (; i < n && !IsWriteCommand(commands[i].op); ++i) {
-        StatsFor(CommandVerbName(commands[i].op)).requests->Increment();
-        if (cache != nullptr) {
-          if (std::optional<ServiceResponse> hit = cache->Lookup(i, *snapshot)) {
-            cache_hits_->Increment();
-            out[i] = *std::move(hit);
-            continue;
-          }
-        }
-        out[i] = ReadCommandBody(*snapshot, commands[i]);
-        if (cache != nullptr && out[i].ok()) {
-          cache->Insert(i, *snapshot, out[i]);
-        }
-      }
+  for (size_t begin = 0, end = 0; begin < n; begin = end) {
+    const bool write = VerbOf(commands[begin].op).write();
+    end = begin;
+    while (end < n && VerbOf(commands[end].op).write() == write) ++end;
+    if (write) {
+      RunWrites(project, deadline_ns, commands, begin, end, out);
+      std::fill(finished_ns.begin() + begin, finished_ns.begin() + end,
+                clock_->NowNs());
       continue;
     }
-    size_t end = i;
-    while (end < n && IsWriteCommand(commands[end].op)) ++end;
-    RunWriteBatch(project, deadline_ns, commands, i, end, out);
-    i = end;
+    // Read run: every read in the run shares ONE snapshot acquisition.
+    // Cache lookups validate against this same snapshot, so a read that
+    // follows a write run in the batch can never be served a pre-write
+    // answer.
+    std::shared_ptr<const EngineSnapshot> snapshot =
+        project.snapshots.Current();
+    for (size_t k = begin; k < end; ++k) {
+      const bool cacheable =
+          cache != nullptr && VerbOf(commands[k].op).cacheable();
+      std::optional<ServiceResponse> hit;
+      if (cacheable) hit = cache->Lookup(k, project_name, *snapshot);
+      if (hit.has_value()) {
+        cache_hits_->Increment();
+        out[k] = *std::move(hit);
+      } else {
+        out[k] = ReadCommandBody(*snapshot, commands[k]);
+        // Only successful responses are cached: admission errors are
+        // transient and session errors name a specific session.
+        if (cacheable && out[k].ok()) {
+          cache->Insert(k, project_name, *snapshot, out[k]);
+        }
+      }
+      finished_ns[k] = clock_->NowNs();
+    }
   }
 }
 
-void IntegrationService::RunWriteBatch(
-    ProjectState& project, int64_t deadline_ns,
-    const std::vector<ServiceCommand>& commands, size_t begin, size_t end,
-    std::vector<ServiceResponse>& out) {
+void IntegrationService::RunWrites(ProjectState& project, int64_t deadline_ns,
+                                   std::span<const ServiceCommand> commands,
+                                   size_t begin, size_t end,
+                                   std::vector<ServiceResponse>& out) {
   std::lock_guard<std::mutex> lock(project.write_mutex);
+  // Time queued behind other writers counts against the deadline: a client
+  // whose deadline lapsed while waiting sees TIMEOUT, not a late mutation.
   if (clock_->NowNs() >= deadline_ns) {
     for (size_t k = begin; k < end; ++k) {
       out[k] = ErrorResponse({ServiceErrorCode::kTimeout,
@@ -1200,79 +917,58 @@ void IntegrationService::RunWriteBatch(
     }
     return;
   }
-  const core::ClosureStats closure_before = project.engine.ClosureTotals();
-  // One role probe for the run: a promote/demote racing the batch lands
-  // before or after the whole run, never between two of its writes.
+  // One role probe for the run: a promote/demote racing it lands before or
+  // after the whole run, never between two of its writes. A read replica
+  // (or a fenced deposed leader) refuses: the leader's replication stream
+  // is its only writer, entering through ApplyReplicated.
   const bool leads = LeadsWrites();
-  const std::string leader = CurrentLeaderAddr();
-  // WAL-first per command, but with deferred appends: each record is
-  // framed and appended before its verb runs, and ONE durability barrier
-  // at the end of the run covers them all (true group commit — under
-  // FsyncPolicy::kAlways a run of W writes costs one fsync, not W).
-  bool append_failed = false;
-  int64_t appended = 0;
-  std::vector<size_t> committed_pending;  // ran; reply gated on the barrier
+  const std::string leader = leads ? std::string() : CurrentLeaderAddr();
+  // Gate, then collect the run's journal records. Export is not journaled
+  // and works in degraded mode and on replicas. A gated write gets its
+  // error now; every write still without one runs below.
+  std::vector<engine::ReplayVerb> records;
   for (size_t k = begin; k < end; ++k) {
-    const ServiceCommand& command = commands[k];
-    StatsFor(CommandVerbName(command.op)).requests->Increment();
-    std::optional<engine::ReplayVerb> verb = ReplayVerbFor(command);
-    if (!verb.has_value()) {
-      // export: not journaled, works in degraded mode (and on replicas).
-      out[k] = ExportBody(project.engine);
-      continue;
-    }
+    std::optional<engine::ReplayVerb> verb = ReplayVerbFor(commands[k]);
+    if (!verb.has_value()) continue;
     if (!leads) {
       out[k] = ErrorResponse(NotLeaderError(leader));
-      continue;
-    }
-    if (project.degraded || append_failed) {
+    } else if (project.degraded) {
       out[k] = ErrorResponse(UnavailableError(project));
-      continue;
+    } else {
+      records.push_back(*std::move(verb));
     }
-    if (project.durability != nullptr) {
-      Status logged = project.durability->LogVerbDeferred(*verb);
-      if (!logged.ok()) {
-        DegradeProject(project, logged);
-        append_failed = true;
-        out[k] = ErrorResponse(UnavailableError(project));
-        continue;
-      }
-      ++appended;
-    }
-    out[k] = WriteCommandBody(project, project.engine, command);
-    committed_pending.push_back(k);
   }
-  if (project.durability != nullptr && appended > 0) {
-    // No reply for a journaled verb may leave before its record is
-    // durable. Attempted even after a failed append so the records of the
-    // verbs that DID run get their barrier.
-    Status committed = project.durability->CommitBatch();
-    if (!committed.ok()) {
-      if (!project.degraded) DegradeProject(project, committed);
-      // The mutations may be applied in memory but are not durable; the
-      // batch answers UNAVAILABLE for them (readers can observe the
-      // unacknowledged state until restart — docs/OPERATIONS.md).
-      for (size_t k : committed_pending) {
-        out[k] = ErrorResponse(UnavailableError(project));
+  bool logged = !records.empty() && project.durability != nullptr;
+  if (logged) {
+    // WAL-first with group commit: every record is appended and covered by
+    // ONE durability barrier before any verb runs, so a journal failure
+    // leaves memory and the published snapshot untouched (the run happened
+    // nowhere) and the project flips to degraded read-only mode.
+    Status status = project.durability->LogRun(records);
+    if (!status.ok()) {
+      logged = false;
+      DegradeProject(project, status);
+      for (size_t k = begin; k < end; ++k) {
+        if (!out[k].error.has_value() &&
+            commands[k].op != ServiceCommand::Op::kExport) {
+          out[k] = ErrorResponse(UnavailableError(project));
+        }
       }
+    }
+  }
+  const core::ClosureStats closure_before = project.engine.ClosureTotals();
+  for (size_t k = begin; k < end; ++k) {
+    if (!out[k].error.has_value()) {
+      out[k] = WriteCommandBody(project, commands[k]);
     }
   }
   RecordClosureMetrics(project, closure_before);
   if (project.snapshots.Publish(project.engine)) {
     snapshots_published_->Increment();
   }
-  if (!project.degraded && project.durability != nullptr &&
-      !committed_pending.empty()) {
-    project.durability->MaybeCheckpoint(project.engine);
-  }
-}
-
-void IntegrationService::NoteCacheHit(const std::string& session_id,
-                                      const char* verb) {
-  MaybeReapSessions();
-  StatsFor(verb).requests->Increment();
-  cache_hits_->Increment();
-  (void)sessions_.Touch(session_id);
+  // After publish so the checkpoint captures the published stamp (publish
+  // materializes the equivalence map; replay mirrors that).
+  if (logged) project.durability->MaybeCheckpoint(project.engine);
 }
 
 std::shared_ptr<const EngineSnapshot> IntegrationService::CurrentSnapshot(

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,8 +89,8 @@ struct ServiceResponse {
 };
 
 // One parsed request in protocol-independent form. The router builds these
-// from text tokens or binary frame arguments; the service executes them one
-// at a time (Execute) or as a pipelined batch (ExecuteBatch). Which payload
+// from text tokens or binary frame arguments through the verb table
+// (service/verbs.h); the service executes them with Execute. Which payload
 // fields matter depends on `op`.
 struct ServiceCommand {
   enum class Op {
@@ -106,8 +107,8 @@ struct ServiceCommand {
     kMetrics,
   };
   Op op = Op::kPing;
-  // Absolute deadline; 0 = service default. Ignored inside a batch (the
-  // whole batch runs under one deadline).
+  // Absolute deadline; 0 = service default. A batch runs under its first
+  // command's deadline.
   int64_t deadline_ns = 0;
 
   std::string text;                   // define: raw DDL
@@ -122,12 +123,6 @@ struct ServiceCommand {
   core::Request request;              // translate
   bool to_components = false;         // translate
 };
-
-// Whether the op mutates (or, for export, must observe) the engine and
-// therefore runs under the project write lock.
-bool IsWriteCommand(ServiceCommand::Op op);
-// The op's verb name on the wire ("define", "rank", ...).
-const char* CommandVerbName(ServiceCommand::Op op);
 
 struct ServiceConfig {
   // Admission bound: requests in flight (queued on a write lock or
@@ -173,25 +168,28 @@ struct ServiceConfig {
 // — on client threads or common::ThreadPool workers — while a writer is
 // mid-mutation.
 //
-// Every operation passes admission control (bounded in-flight count,
+// Every request passes admission control (bounded in-flight count,
 // per-request deadline) and charges a per-verb latency histogram plus
 // request/error counters to the MetricsRegistry.
 //
-// Optional per-item read cache consulted by ExecuteBatch. Implemented by
-// the router (which owns the ResponseCache and knows each item's wire-level
-// key). The service calls it with the snapshot the read run actually
-// executes against — reads that follow a write run in the same batch are
-// therefore validated against the post-write snapshot, never the pre-batch
-// one, so a hit is exactly as fresh as re-executing would be.
+// Optional per-item read cache consulted by Execute for cacheable verbs.
+// Implemented by the router (which owns the ResponseCache and knows each
+// item's wire-level key). The service calls it with the project name and
+// the snapshot the read run actually executes against — reads that follow
+// a write run in the same batch are therefore validated against the
+// post-write snapshot, never the pre-batch one, so a hit is exactly as
+// fresh as re-executing would be.
 class BatchReadCache {
  public:
   virtual ~BatchReadCache() = default;
   // A still-valid cached response for commands[index] under `snapshot`,
   // or nullopt to execute the read normally.
   virtual std::optional<ServiceResponse> Lookup(
-      size_t index, const EngineSnapshot& snapshot) = 0;
+      size_t index, const std::string& project,
+      const EngineSnapshot& snapshot) = 0;
   // Offers the freshly executed ok() response for commands[index].
-  virtual void Insert(size_t index, const EngineSnapshot& snapshot,
+  virtual void Insert(size_t index, const std::string& project,
+                      const EngineSnapshot& snapshot,
                       const ServiceResponse& response) = 0;
 };
 
@@ -209,68 +207,27 @@ class IntegrationService {
   Status CloseSession(const std::string& session_id);
   SessionManager& sessions() { return sessions_; }
 
-  // --- write verbs (serialized per project) --------------------------------
-  ServiceResponse Define(const std::string& session_id,
-                         const std::string& ddl, int64_t deadline_ns = 0);
-  ServiceResponse DeclareEquivalence(const std::string& session_id,
-                                     const ecr::AttributePath& a,
-                                     const ecr::AttributePath& b,
-                                     int64_t deadline_ns = 0);
-  ServiceResponse AssertRelation(const std::string& session_id,
-                                 const core::ObjectRef& first, int type_code,
-                                 const core::ObjectRef& second,
-                                 int64_t deadline_ns = 0);
-  ServiceResponse Integrate(const std::string& session_id,
-                            std::vector<std::string> schemas,
-                            int64_t deadline_ns = 0);
-  ServiceResponse ExportProject(const std::string& session_id,
-                                int64_t deadline_ns = 0);
-
-  // --- read verbs (lock-free against the current snapshot) ----------------
-  ServiceResponse RankedPairs(const std::string& session_id,
-                              const std::string& schema1,
-                              const std::string& schema2,
-                              core::StructureKind kind, bool include_zero,
-                              int64_t deadline_ns = 0);
-  ServiceResponse Suggest(const std::string& session_id,
-                          const std::string& schema1,
-                          const std::string& schema2, double threshold,
-                          int64_t deadline_ns = 0);
-  ServiceResponse Translate(const std::string& session_id,
-                            const core::Request& request, bool to_components,
-                            int64_t deadline_ns = 0);
-  ServiceResponse IntegratedOutline(const std::string& session_id,
-                                    int64_t deadline_ns = 0);
-  ServiceResponse MetricsDump(const std::string& session_id,
-                              int64_t deadline_ns = 0);
-
   // --- command plane -------------------------------------------------------
-  // Executes one protocol-independent command (dispatches to the typed verb
-  // methods above; kPing answers without touching the project).
+  // The one command entry: a lone request is a batch of one. The call pays
+  // ONE admission charge (in-flight bound, then the first command's
+  // deadline), then consecutive reads share a single snapshot acquisition
+  // (and the response cache, when `cache` is non-null) and consecutive
+  // writes run in a single write-lock pass: every journal record of the
+  // run is appended, ONE durability barrier covers them, and only then are
+  // the writes applied in order. A failed append or barrier answers
+  // UNAVAILABLE for every journaled write of the run and leaves the engine
+  // and the published snapshot untouched. Responses come back in command
+  // order. Every command bumps requests.<verb> before it runs and records
+  // one latency.<verb> sample (time until its answer was final); a
+  // `batch_frame` call also records requests.batch, latency.batch and
+  // batch.size. Ping-only calls need no session and skip admission.
+  std::vector<ServiceResponse> Execute(
+      const std::string& session_id, std::span<const ServiceCommand> commands,
+      BatchReadCache* cache = nullptr, bool batch_frame = false);
   ServiceResponse Execute(const std::string& session_id,
-                          const ServiceCommand& command);
-
-  // Pipelined batch execution: ONE admission charge for the whole batch,
-  // then consecutive reads share a single snapshot acquisition and
-  // consecutive writes run in a single write-lock pass whose journal
-  // records are covered by one group-commit barrier (FsyncPolicy::kAlways
-  // and kBatch both fsync once per write run). Responses come back in
-  // command order. If the commit barrier fails, every write of that run
-  // answers UNAVAILABLE and the project degrades — the mutations may be
-  // applied in memory but are not durable (see docs/OPERATIONS.md).
-  //
-  // `cache`, when non-null, is consulted for each read item against the
-  // snapshot its run executes under; hits skip the read body entirely and
-  // count toward service.cache_hits.
-  std::vector<ServiceResponse> ExecuteBatch(
-      const std::string& session_id,
-      const std::vector<ServiceCommand>& commands,
-      BatchReadCache* cache = nullptr);
-
-  // Accounting hook for responses the router serves from its cache without
-  // re-executing: bumps the verb's request counter, the cache-hit counter,
-  // and the session's activity stamp.
-  void NoteCacheHit(const std::string& session_id, const char* verb);
+                          const ServiceCommand& command) {
+    return std::move(Execute(session_id, {&command, 1}).front());
+  }
 
   // Checkpoints every healthy durable project now (shutdown/drain path);
   // returns how many checkpoints were written. A no-op without a data dir.
@@ -416,22 +373,6 @@ class IntegrationService {
     Histogram* latency = nullptr;
   };
 
-  // Admission + deadline + session routing + metrics around one verb.
-  // `fn(project)` runs with no lock held for reads and must itself take
-  // the write mutex for writes (see RunWrite).
-  template <typename Fn>
-  ServiceResponse Admit(const std::string& session_id, const char* verb,
-                        int64_t deadline_ns, Fn&& fn);
-
-  // The write path body: lock, re-check deadline (time spent queued counts
-  // against it), journal the verb (WAL-first: a journal failure leaves the
-  // engine untouched and degrades the project), run, republish, maybe
-  // checkpoint. `verb` is null for non-mutating verbs routed through the
-  // write lock (export), which also skip the degraded check.
-  template <typename Fn>
-  ServiceResponse RunWrite(ProjectState& project, int64_t deadline_ns,
-                           const engine::ReplayVerb* verb, Fn&& fn);
-
   // Publishes closure.* deltas for the write that just ran. `before` is the
   // engine's closure totals sampled before the verb body. Caller holds
   // write_mutex.
@@ -450,24 +391,22 @@ class IntegrationService {
   // every other request) instead of scanning the table per request.
   void MaybeReapSessions();
 
-  VerbStats StatsFor(std::string_view verb);
+  // Execute's run executor: segments commands into read runs and write
+  // runs. `finished_ns[k]` is set to the time command k's answer became
+  // final.
+  void RunCommands(ProjectState& project, const std::string& project_name,
+                   int64_t deadline_ns,
+                   std::span<const ServiceCommand> commands,
+                   std::vector<ServiceResponse>& out,
+                   std::vector<int64_t>& finished_ns, BatchReadCache* cache);
+  void RunWrites(ProjectState& project, int64_t deadline_ns,
+                 std::span<const ServiceCommand> commands, size_t begin,
+                 size_t end, std::vector<ServiceResponse>& out);
 
-  // ExecuteBatch internals: segment the batch into read runs and write
-  // runs. `RunWriteBatch` executes commands[begin, end) under one lock
-  // acquisition with deferred journal appends and one commit barrier.
-  void RunBatch(ProjectState& project, int64_t deadline_ns,
-                const std::vector<ServiceCommand>& commands,
-                std::vector<ServiceResponse>& out, BatchReadCache* cache);
-  void RunWriteBatch(ProjectState& project, int64_t deadline_ns,
-                     const std::vector<ServiceCommand>& commands,
-                     size_t begin, size_t end,
-                     std::vector<ServiceResponse>& out);
-
-  // Shared verb bodies (caller holds write_mutex / owns the snapshot).
-  ServiceResponse IntegrateBody(ProjectState& project, engine::Engine& engine,
-                                std::vector<std::string> schemas);
+  // Verb bodies (caller holds write_mutex / owns the snapshot).
+  ServiceResponse IntegrateBody(ProjectState& project,
+                                const std::vector<std::string>& schemas);
   ServiceResponse WriteCommandBody(ProjectState& project,
-                                   engine::Engine& engine,
                                    const ServiceCommand& command);
   ServiceResponse ReadCommandBody(const EngineSnapshot& snapshot,
                                   const ServiceCommand& command);
@@ -478,8 +417,11 @@ class IntegrationService {
   SessionManager sessions_;
   MetricsRegistry metrics_;
 
-  // Instruments resolved once (the registry hands out stable pointers).
-  std::map<std::string, VerbStats, std::less<>> verb_stats_;
+  // Instruments resolved once (the registry hands out stable pointers),
+  // indexed by ServiceCommand::Op.
+  std::array<VerbStats, static_cast<size_t>(ServiceCommand::Op::kMetrics) + 1>
+      op_stats_{};
+  VerbStats batch_stats_;
   std::array<Counter*, 6> error_counters_{};
   Counter* snapshots_published_ = nullptr;
   Counter* sessions_reaped_ = nullptr;

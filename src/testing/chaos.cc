@@ -1,4 +1,4 @@
-#include "service/chaos.h"
+#include "testing/chaos.h"
 
 #include <netdb.h>
 #include <netinet/in.h>

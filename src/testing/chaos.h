@@ -1,5 +1,5 @@
-#ifndef ECRINT_SERVICE_CHAOS_H_
-#define ECRINT_SERVICE_CHAOS_H_
+#ifndef ECRINT_TESTING_CHAOS_H_
+#define ECRINT_TESTING_CHAOS_H_
 
 #include <atomic>
 #include <chrono>
@@ -156,4 +156,4 @@ class ChaosProxy {
 
 }  // namespace ecrint::service
 
-#endif  // ECRINT_SERVICE_CHAOS_H_
+#endif  // ECRINT_TESTING_CHAOS_H_

@@ -1,15 +1,19 @@
 // Pipelined batch execution: a batch produces exactly the responses the
 // same commands produce one at a time, a write run's journal records are
 // covered by ONE group-commit fsync (not one per record), a failed commit
-// barrier converts every executed write into UNAVAILABLE, and the binary
-// batch frame carries the whole flow end to end through the router.
+// barrier answers UNAVAILABLE for every write of the run and applies none
+// of them, lone writes keep their per-policy fsync counts, and the binary
+// batch frame carries the whole flow end to end through the router —
+// under the connection's deadline.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/fs.h"
 #include "service/protocol.h"
 #include "service/recovery.h"
@@ -99,7 +103,7 @@ TEST(BatchTest, MatchesSequentialExecution) {
   IntegrationService batch_service{ServiceConfig{}};
   std::string batch_session = batch_service.OpenSession("uni");
   std::vector<ServiceResponse> batched =
-      batch_service.ExecuteBatch(batch_session, script);
+      batch_service.Execute(batch_session, script);
 
   IntegrationService seq_service{ServiceConfig{}};
   std::string seq_session = seq_service.OpenSession("uni");
@@ -117,13 +121,14 @@ TEST(BatchTest, MatchesSequentialExecution) {
 TEST(BatchTest, EmptyBatchIsANoOp) {
   IntegrationService service{ServiceConfig{}};
   std::string session = service.OpenSession("uni");
-  EXPECT_TRUE(service.ExecuteBatch(session, {}).empty());
+  EXPECT_TRUE(
+      service.Execute(session, std::span<const ServiceCommand>()).empty());
 }
 
 TEST(BatchTest, UnknownSessionFailsEveryCommand) {
   IntegrationService service{ServiceConfig{}};
-  std::vector<ServiceResponse> out =
-      service.ExecuteBatch("nope", {DefineCommand(), RankCommand()});
+  std::vector<ServiceCommand> commands = {DefineCommand(), RankCommand()};
+  std::vector<ServiceResponse> out = service.Execute("nope", commands);
   ASSERT_EQ(out.size(), 2u);
   for (const ServiceResponse& response : out) {
     ASSERT_FALSE(response.ok());
@@ -135,7 +140,8 @@ TEST(BatchTest, RecordsBatchSizeHistogram) {
   std::string session = service.OpenSession("uni");
   Histogram* sizes = service.metrics().GetHistogram("batch.size");
   int64_t before = sizes->count();
-  (void)service.ExecuteBatch(session, MixedScript());
+  (void)service.Execute(session, MixedScript(), /*cache=*/nullptr,
+                        /*batch_frame=*/true);
   EXPECT_EQ(sizes->count(), before + 1);
   EXPECT_GE(sizes->sum_us(),
             static_cast<int64_t>(MixedScript().size()));
@@ -166,7 +172,7 @@ TEST(BatchGroupCommitTest, OneFsyncCoversTheWholeWriteRun) {
     int64_t before = counting.syncs_seen();
     if (as_batch) {
       for (const ServiceResponse& response :
-           service.ExecuteBatch(session, writes)) {
+           service.Execute(session, writes)) {
         EXPECT_TRUE(response.ok());
       }
     } else {
@@ -200,16 +206,16 @@ TEST(BatchGroupCommitTest, FsyncMetricCountsBarriersNotRecords) {
   std::vector<ServiceCommand> writes = {DefineCommand(), EquivCommand("Name"),
                                         AssertCommand()};
   for (const ServiceResponse& response :
-       service.ExecuteBatch(session, writes)) {
+       service.Execute(session, writes)) {
     ASSERT_TRUE(response.ok());
   }
   EXPECT_EQ(appends->value(), appends_before + 3);  // every record journaled
   EXPECT_EQ(fsyncs->value(), fsyncs_before + 1);    // one barrier
 }
 
-// The barrier fails: every write that executed in the run answers
-// UNAVAILABLE (its record never became durable), the project degrades,
-// and later writes keep refusing until restart.
+// The barrier fails: every write of the run answers UNAVAILABLE (its
+// record never became durable) and none of them was applied, the project
+// degrades, and later writes keep refusing until restart.
 TEST(BatchGroupCommitTest, CommitFailureFailsExecutedWrites) {
   common::MemFs base;
   common::FaultPlan plan;
@@ -223,11 +229,15 @@ TEST(BatchGroupCommitTest, CommitFailureFailsExecutedWrites) {
   config.durability.degraded_retry_after_ms = 777;
   IntegrationService service(config);
   std::string session = service.OpenSession("uni");
+  std::shared_ptr<const EngineSnapshot> before =
+      service.CurrentSnapshot(session);
 
   std::vector<ServiceCommand> writes = {DefineCommand(), EquivCommand("Name"),
                                         AssertCommand()};
-  std::vector<ServiceResponse> out = service.ExecuteBatch(session, writes);
+  std::vector<ServiceResponse> out = service.Execute(session, writes);
   ASSERT_EQ(out.size(), 3u);
+  // All or nothing: the engine and the published snapshot are untouched.
+  EXPECT_EQ(service.CurrentSnapshot(session), before);
   for (size_t i = 0; i < out.size(); ++i) {
     ASSERT_FALSE(out[i].ok()) << "write " << i;
     EXPECT_EQ(out[i].error->code, ServiceErrorCode::kUnavailable)
@@ -242,6 +252,77 @@ TEST(BatchGroupCommitTest, CommitFailureFailsExecutedWrites) {
   ServiceResponse ping = service.Execute(
       session, SimpleCommand(ServiceCommand::Op::kPing));
   EXPECT_TRUE(ping.ok());
+}
+
+// --- lone writes -----------------------------------------------------------
+
+// A service journaling through a fault-injecting filesystem.
+struct DurableService {
+  explicit DurableService(FsyncPolicy policy, common::FaultPlan plan = {})
+      : fs(&base, plan) {
+    ServiceConfig config;
+    config.data_dir = "data";
+    config.fs = &fs;
+    config.durability.fsync = policy;
+    config.durability.fsync_batch_records = 3;
+    config.durability.checkpoint_interval_records = 0;  // isolate the WAL
+    service = std::make_unique<IntegrationService>(config);
+    session = service->OpenSession("uni");
+  }
+
+  common::MemFs base;
+  common::FaultInjectingFs fs;
+  std::unique_ptr<IntegrationService> service;
+  std::string session;
+};
+
+// A lone write whose barrier fails answers UNAVAILABLE and leaves the
+// engine (as export shows it) and the published snapshot exactly as they
+// were before the write.
+TEST(LoneWriteDurabilityTest, BarrierFailureLeavesStateUntouched) {
+  common::FaultPlan plan;
+  plan.fail_sync_at = 1;  // define's barrier is Sync 0, equiv's is Sync 1
+  DurableService node(FsyncPolicy::kAlways, plan);
+  IntegrationService& service = *node.service;
+  ASSERT_TRUE(service.Execute(node.session, DefineCommand()).ok());
+  ServiceResponse exported_before =
+      service.Execute(node.session, SimpleCommand(ServiceCommand::Op::kExport));
+  ASSERT_TRUE(exported_before.ok());
+  std::shared_ptr<const EngineSnapshot> before =
+      service.CurrentSnapshot(node.session);
+
+  ServiceResponse refused = service.Execute(node.session, EquivCommand("Name"));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error->code, ServiceErrorCode::kUnavailable);
+
+  std::shared_ptr<const EngineSnapshot> after =
+      service.CurrentSnapshot(node.session);
+  EXPECT_EQ(after, before);
+  EXPECT_EQ(after->stamp, before->stamp);
+  ServiceResponse exported_after =
+      service.Execute(node.session, SimpleCommand(ServiceCommand::Op::kExport));
+  ASSERT_TRUE(exported_after.ok());
+  EXPECT_EQ(exported_after.lines, exported_before.lines);
+}
+
+// Lone writes sync per the fsync policy: one fsync each under kAlways,
+// one per 3 records under kBatch with fsync_batch_records = 3, none under
+// kNever.
+TEST(LoneWriteDurabilityTest, FsyncCountsFollowThePolicy) {
+  auto syncs_for = [](FsyncPolicy policy) {
+    DurableService node(policy);
+    int64_t before = node.fs.syncs_seen();
+    std::vector<ServiceCommand> writes = {
+        DefineCommand(), EquivCommand("Name"), EquivCommand("GPA"),
+        AssertCommand(), IntegrateCommand(), IntegrateCommand()};
+    for (const ServiceCommand& write : writes) {
+      EXPECT_TRUE(node.service->Execute(node.session, write).ok());
+    }
+    return node.fs.syncs_seen() - before;
+  };
+  EXPECT_EQ(syncs_for(FsyncPolicy::kAlways), 6);
+  EXPECT_EQ(syncs_for(FsyncPolicy::kBatch), 2);
+  EXPECT_EQ(syncs_for(FsyncPolicy::kNever), 0);
 }
 
 // --- router-level binary batch --------------------------------------------
@@ -433,6 +514,45 @@ TEST_F(BinaryBatchRouterTest, WriteInsideABatchIsVisibleToFollowingReads) {
       EncodeBinaryBatch({Req(WireVerb::kRank, {"sc1", "sc2", "zero"})}),
       &session);
   EXPECT_EQ(repeat.items[0].lines, decoded.items[2].lines);
+}
+
+// `deadline 0` covers batch frames too: every item answers TIMEOUT and
+// nothing reaches the engine.
+TEST(BinaryBatchDeadlineTest, DeadlineZeroTimesOutEveryBatchItem) {
+  common::ManualClock clock(/*start_ns=*/1);
+  ServiceConfig config;
+  config.clock = &clock;
+  IntegrationService service(config);
+  RequestRouter router(&service);
+  RouterSession session;
+  ASSERT_EQ(router.HandleLine("open uni", &session).substr(0, 2), "ok");
+  ASSERT_EQ(router.HandleLine("deadline 0", &session).substr(0, 2), "ok");
+  ASSERT_EQ(router.HandleLine("proto 2", &session).substr(0, 2), "ok");
+  const engine::EngineStamp stamp =
+      service.CurrentSnapshot(session.session_id)->stamp;
+
+  BinaryRequest define{WireVerb::kDefine, {kInlineDdl}};
+  BinaryRequest equiv{WireVerb::kEquiv, {"sc1.Student.Name", "sc2.Grad.Name"}};
+  BinaryRequest rank{WireVerb::kRank, {"sc1", "sc2"}};
+  std::string frame = EncodeBinaryBatch({define, equiv, rank});
+  std::string_view body;
+  size_t consumed = 0;
+  std::string error;
+  ASSERT_EQ(ExtractFrame(frame, &body, &consumed, &error),
+            FrameStatus::kComplete);
+  std::string reply = router.HandleFrame(body, &session);
+  std::string_view reply_body;
+  ASSERT_EQ(ExtractFrame(reply, &reply_body, &consumed, &error),
+            FrameStatus::kComplete);
+  Result<DecodedResponse> decoded = DecodeBinaryResponse(reply_body);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_EQ(decoded->items.size(), 3u);
+  for (size_t i = 0; i < decoded->items.size(); ++i) {
+    ASSERT_FALSE(decoded->items[i].ok()) << "item " << i;
+    EXPECT_EQ(decoded->items[i].error->code, ServiceErrorCode::kTimeout)
+        << "item " << i;
+  }
+  EXPECT_EQ(service.CurrentSnapshot(session.session_id)->stamp, stamp);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // deterministic seeded corruption, accept refusal, and partition healing.
 // The proxy fronts a local echo server; every test drives real sockets.
 
-#include "service/chaos.h"
+#include "testing/chaos.h"
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "commands.h"
 #include "common/checksum.h"
 #include "common/fs.h"
 #include "engine/engine.h"
@@ -235,15 +236,15 @@ ServiceResponse Drive(IntegrationService& service, const std::string& session,
                       const engine::ReplayVerb& verb) {
   switch (verb.kind) {
     case engine::ReplayVerb::Kind::kDefine:
-      return service.Define(session, verb.ddl);
+      return service.Execute(session, DefineCmd(verb.ddl));
     case engine::ReplayVerb::Kind::kEquivalence:
-      return service.DeclareEquivalence(session, verb.first_path,
-                                        verb.second_path);
+      return service.Execute(session,
+                             EquivCmd(verb.first_path, verb.second_path));
     case engine::ReplayVerb::Kind::kRelation:
-      return service.AssertRelation(session, verb.first, verb.type_code,
-                                    verb.second);
+      return service.Execute(
+          session, AssertCmd(verb.first, verb.type_code, verb.second));
     case engine::ReplayVerb::Kind::kIntegrate:
-      return service.Integrate(session, verb.schemas);
+      return service.Execute(session, IntegrateCmd(verb.schemas));
   }
   return {};
 }
@@ -405,8 +406,9 @@ TEST(RecoveryTest, ServiceRestartResumesWriting) {
     config.fs = &fs;
     IntegrationService service(config);
     std::string session = service.OpenSession("uni");
-    ASSERT_TRUE(service.Define(session, kUniversityDdl).ok());
-    ServiceResponse exported = service.ExportProject(session);
+    ASSERT_TRUE(service.Execute(session, DefineCmd(kUniversityDdl)).ok());
+    ServiceResponse exported =
+        service.Execute(session, ExportCmd());
     ASSERT_TRUE(exported.ok());
     exported_before = exported.lines.empty() ? "" : exported.lines[0];
   }
@@ -415,14 +417,15 @@ TEST(RecoveryTest, ServiceRestartResumesWriting) {
   config.fs = &fs;
   IntegrationService service(config);
   std::string session = service.OpenSession("uni");
-  ServiceResponse exported = service.ExportProject(session);
+  ServiceResponse exported =
+      service.Execute(session, ExportCmd());
   ASSERT_TRUE(exported.ok());
   ASSERT_FALSE(exported.lines.empty());
   EXPECT_EQ(exported.lines[0], exported_before);
   // The journal position carried over: new writes land after the old.
   EXPECT_TRUE(service
-                  .DeclareEquivalence(session, {"sc1", "Student", "Name"},
-                                      {"sc2", "Grad", "Name"})
+                  .Execute(session, EquivCmd({"sc1", "Student", "Name"},
+                                             {"sc2", "Grad", "Name"}))
                   .ok());
   JournalScanResult scan = ScanJournal(*fs.ReadFileToString(kJournalPath));
   ASSERT_EQ(scan.records.size(), 2u);
@@ -463,7 +466,7 @@ TEST(RecoveryFaultTest, AppendFailureAtEveryIndexDegradesThenRecovers) {
     EXPECT_EQ(service.metrics().GetCounter("journal.degraded_flips")->value(),
               1);
     // Reads still work against the last published snapshot.
-    EXPECT_TRUE(service.ExportProject(session).ok());
+    EXPECT_TRUE(service.Execute(session, ExportCmd()).ok());
     ASSERT_TRUE(service.CurrentSnapshot(session) != nullptr);
 
     // Restart on the surviving device: state == serial replay of the
@@ -551,7 +554,7 @@ TEST(RecoveryFaultTest, SyncFailureDegrades) {
   EXPECT_EQ(faulted.error->code, ServiceErrorCode::kUnavailable);
   EXPECT_EQ(service.metrics().GetCounter("journal.degraded_flips")->value(),
             1);
-  EXPECT_TRUE(service.ExportProject(session).ok());
+  EXPECT_TRUE(service.Execute(session, ExportCmd()).ok());
 }
 
 // Disk-full is not device death: ENOSPC on append degrades the project
@@ -586,7 +589,7 @@ TEST(RecoveryFaultTest, EnospcDegradesDistinctlyWithRetryHint) {
   EXPECT_EQ(service.metrics().GetCounter("journal.degraded_flips")->value(),
             1);
   // Degraded is read-only, not down: snapshots still serve.
-  EXPECT_TRUE(service.ExportProject(session).ok());
+  EXPECT_TRUE(service.Execute(session, ExportCmd()).ok());
 
   // A generic journal failure does NOT claim the disk is full.
   common::MemFs base2;

@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "commands.h"
 #include "common/fs.h"
 #include "service/journal.h"
 #include "service/protocol.h"
@@ -355,14 +356,14 @@ TEST(ReplicationTest, FollowerBootstrapsFromCheckpointAndConverges) {
   common::MemFs fs;
   Node leader(&fs, "/lead");
   std::string session = leader.service->OpenSession("uni");
-  ASSERT_TRUE(leader.service->Define(session, kUniversityDdl).ok());
-  ASSERT_TRUE(leader.service->Integrate(session, {}).ok());
+  ASSERT_TRUE(leader.service->Execute(session, DefineCmd(kUniversityDdl)).ok());
+  ASSERT_TRUE(leader.service->Execute(session, IntegrateCmd()).ok());
   // Checkpoint + rotate: the journal no longer holds records 1..2, so a
   // fresh follower MUST bootstrap via the checkpoint path.
   ASSERT_EQ(leader.service->CheckpointProjects(), 1);
   ASSERT_TRUE(
-      leader.service->AssertRelation(session, {"sc1", "Student"}, 1,
-                                     {"sc2", "Grad"}).ok());
+      leader.service->Execute(
+          session, AssertCmd({"sc1", "Student"}, 1, {"sc2", "Grad"})).ok());
 
   ReplicationServer server(leader.service.get(), &fs, "/lead");
   Node follower(&fs, "", "127.0.0.1:1");
@@ -378,9 +379,10 @@ TEST(ReplicationTest, FollowerBootstrapsFromCheckpointAndConverges) {
 
   // The follower actually serves the replicated state.
   std::string follower_session = follower.service->OpenSession("uni");
-  ServiceResponse exported = follower.service->ExportProject(follower_session);
+  ServiceResponse exported = follower.service->Execute(follower_session,
+                                                       ExportCmd());
   ASSERT_TRUE(exported.ok());
-  ServiceResponse leader_export = leader.service->ExportProject(session);
+  ServiceResponse leader_export = leader.service->Execute(session, ExportCmd());
   ASSERT_TRUE(leader_export.ok());
   EXPECT_EQ(exported.lines, leader_export.lines);
 }
@@ -389,7 +391,7 @@ TEST(ReplicationTest, ThousandWritesConvergeStampIdentical) {
   common::MemFs fs;
   Node leader(&fs, "/lead");
   std::string session = leader.service->OpenSession("uni");
-  ASSERT_TRUE(leader.service->Define(session, kUniversityDdl).ok());
+  ASSERT_TRUE(leader.service->Execute(session, DefineCmd(kUniversityDdl)).ok());
 
   ReplicationServer::Options fast;
   fast.poll_interval_ms = 1;
@@ -403,10 +405,10 @@ TEST(ReplicationTest, ThousandWritesConvergeStampIdentical) {
   // engine state, including the ones the engine rejects (duplicate
   // assertions).
   for (int i = 0; i < 1000; ++i) {
-    leader.service->AssertRelation(session, {"sc1", "Student"}, i % 6,
-                                   {"sc2", "Grad"});
+    leader.service->Execute(
+        session, AssertCmd({"sc1", "Student"}, i % 6, {"sc2", "Grad"}));
   }
-  ASSERT_TRUE(leader.service->Integrate(session, {}).ok());
+  ASSERT_TRUE(leader.service->Execute(session, IntegrateCmd()).ok());
 
   EXPECT_TRUE(PumpUntilConverged(subscription.sink(), state, *leader.service,
                                  *follower.service, "uni", 30000));
@@ -418,10 +420,10 @@ TEST(ReplicationTest, StreamCutMidStreamResubscribesFromAppliedSeq) {
   common::MemFs fs;
   Node leader(&fs, "/lead");
   std::string session = leader.service->OpenSession("uni");
-  ASSERT_TRUE(leader.service->Define(session, kUniversityDdl).ok());
+  ASSERT_TRUE(leader.service->Execute(session, DefineCmd(kUniversityDdl)).ok());
   for (int i = 0; i < 20; ++i) {
-    leader.service->AssertRelation(session, {"sc1", "Student"}, i % 6,
-                                   {"sc2", "Grad"});
+    leader.service->Execute(
+        session, AssertCmd({"sc1", "Student"}, i % 6, {"sc2", "Grad"}));
   }
 
   ReplicationServer server(leader.service.get(), &fs, "/lead");
@@ -457,8 +459,8 @@ TEST(ReplicationTest, CorruptedChunkForcesCleanRetry) {
   common::MemFs fs;
   Node leader(&fs, "/lead");
   std::string session = leader.service->OpenSession("uni");
-  ASSERT_TRUE(leader.service->Define(session, kUniversityDdl).ok());
-  ASSERT_TRUE(leader.service->Integrate(session, {}).ok());
+  ASSERT_TRUE(leader.service->Execute(session, DefineCmd(kUniversityDdl)).ok());
+  ASSERT_TRUE(leader.service->Execute(session, IntegrateCmd()).ok());
   ASSERT_EQ(leader.service->CheckpointProjects(), 1);
 
   ReplicationServer server(leader.service.get(), &fs, "/lead");
@@ -492,10 +494,10 @@ TEST(ReplicationTest, DurableFollowerSurvivesKillDashNine) {
   common::MemFs fs;
   Node leader(&fs, "/lead");
   std::string session = leader.service->OpenSession("uni");
-  ASSERT_TRUE(leader.service->Define(session, kUniversityDdl).ok());
+  ASSERT_TRUE(leader.service->Execute(session, DefineCmd(kUniversityDdl)).ok());
   for (int i = 0; i < 10; ++i) {
-    leader.service->AssertRelation(session, {"sc1", "Student"}, i % 6,
-                                   {"sc2", "Grad"});
+    leader.service->Execute(
+        session, AssertCmd({"sc1", "Student"}, i % 6, {"sc2", "Grad"}));
   }
 
   ReplicationServer server(leader.service.get(), &fs, "/lead");
@@ -514,8 +516,8 @@ TEST(ReplicationTest, DurableFollowerSurvivesKillDashNine) {
 
   // More leader writes while the follower is down.
   for (int i = 0; i < 10; ++i) {
-    leader.service->AssertRelation(session, {"sc2", "Grad"}, i % 6,
-                                   {"sc1", "Student"});
+    leader.service->Execute(
+        session, AssertCmd({"sc2", "Grad"}, i % 6, {"sc1", "Student"}));
   }
 
   // Second life: recovery picks the stream back up from local durability —
@@ -535,12 +537,13 @@ TEST(ReplicationTest, FollowerRejectsWritesWithNotLeader) {
   common::MemFs fs;
   Node follower(&fs, "", "10.0.0.7:7400");
   std::string session = follower.service->OpenSession("uni");
-  ServiceResponse response = follower.service->Define(session, kUniversityDdl);
+  ServiceResponse response = follower.service->Execute(
+      session, DefineCmd(kUniversityDdl));
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.error->code, ServiceErrorCode::kNotLeader);
   EXPECT_EQ(response.error->leader, "10.0.0.7:7400");
   // Reads still work.
-  EXPECT_TRUE(follower.service->ExportProject(session).ok());
+  EXPECT_TRUE(follower.service->Execute(session, ExportCmd()).ok());
 }
 
 TEST(ReplicationTest, ApplyReplicatedEnforcesSeqContiguity) {
@@ -560,7 +563,8 @@ TEST(ReplicationFailoverTest, PromoteClearsNotLeaderAndBumpsEpoch) {
   common::MemFs fs;
   Node node(&fs, "/n1", "10.0.0.7:7400");
   std::string session = node.service->OpenSession("uni");
-  ServiceResponse refused = node.service->Define(session, kUniversityDdl);
+  ServiceResponse refused = node.service->Execute(session,
+                                                  DefineCmd(kUniversityDdl));
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.error->code, ServiceErrorCode::kNotLeader);
 
@@ -570,7 +574,7 @@ TEST(ReplicationFailoverTest, PromoteClearsNotLeaderAndBumpsEpoch) {
   EXPECT_TRUE(node.service->CurrentLeaderAddr().empty());
   EXPECT_EQ(node.service->ProjectEpoch("uni"), 1u);
   // The write gate lifted at the new epoch.
-  EXPECT_TRUE(node.service->Define(session, kUniversityDdl).ok());
+  EXPECT_TRUE(node.service->Execute(session, DefineCmd(kUniversityDdl)).ok());
 
   Result<IntegrationService::ReplicationPosition> position =
       node.service->SampleReplicationPosition("uni");
@@ -608,7 +612,8 @@ TEST(ReplicationFailoverTest, DemoteRejectsStaleEpochsAndRepoints) {
   EXPECT_EQ(node.service->CurrentLeaderAddr(), "10.0.0.9:7400");
   EXPECT_EQ(node.service->ProjectEpoch("uni"), 2u);
   std::string session = node.service->OpenSession("uni");
-  ServiceResponse refused = node.service->Define(session, kUniversityDdl);
+  ServiceResponse refused = node.service->Execute(session,
+                                                  DefineCmd(kUniversityDdl));
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.error->code, ServiceErrorCode::kNotLeader);
   EXPECT_EQ(refused.error->leader, "10.0.0.9:7400");
@@ -659,7 +664,7 @@ TEST(ReplicationFailoverTest, HigherEpochSubscribeDeposesLeader) {
   common::MemFs fs;
   Node leader(&fs, "/lead");
   std::string session = leader.service->OpenSession("uni");
-  ASSERT_TRUE(leader.service->Define(session, kUniversityDdl).ok());
+  ASSERT_TRUE(leader.service->Execute(session, DefineCmd(kUniversityDdl)).ok());
 
   ReplicationServer server(leader.service.get(), &fs, "/lead");
   ReplSubscribe subscribe;
@@ -681,8 +686,8 @@ TEST(ReplicationFailoverTest, HigherEpochSubscribeDeposesLeader) {
   EXPECT_EQ(leader.service->CurrentLeaderAddr(), "10.0.0.9:7400");
   EXPECT_EQ(leader.service->ProjectEpoch("uni"), 5u);
   ServiceResponse refused =
-      leader.service->AssertRelation(session, {"sc1", "Student"}, 1,
-                                     {"sc2", "Grad"});
+      leader.service->Execute(
+          session, AssertCmd({"sc1", "Student"}, 1, {"sc2", "Grad"}));
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.error->code, ServiceErrorCode::kNotLeader);
   EXPECT_EQ(refused.error->leader, "10.0.0.9:7400");
@@ -709,10 +714,10 @@ TEST(ReplicationFailoverTest, PromotedFollowerServesStreamAtBumpedEpoch) {
   Node node(&fs, "/n1", "10.0.0.7:7400");
   ASSERT_TRUE(node.service->PromoteProject("uni").ok());
   std::string session = node.service->OpenSession("uni");
-  ASSERT_TRUE(node.service->Define(session, kUniversityDdl).ok());
+  ASSERT_TRUE(node.service->Execute(session, DefineCmd(kUniversityDdl)).ok());
   ASSERT_TRUE(node.service
-                  ->AssertRelation(session, {"sc1", "Student"}, 1,
-                                   {"sc2", "Grad"})
+                  ->Execute(session,
+                            AssertCmd({"sc1", "Student"}, 1, {"sc2", "Grad"}))
                   .ok());
 
   // A fresh replica following the promoted node converges AND adopts the
@@ -736,7 +741,7 @@ TEST(ReplicationFailoverTest, EmptyDemoteHintFencesInsteadOfSelfAdopting) {
   Node node(&fs, "/n1");  // standalone: leads by default
   node.service->EnsureProject("uni");
   std::string session = node.service->OpenSession("uni");
-  ASSERT_TRUE(node.service->Define(session, kUniversityDdl).ok());
+  ASSERT_TRUE(node.service->Execute(session, DefineCmd(kUniversityDdl)).ok());
 
   // Deposed at a higher epoch with no forwarding address. The old
   // representation (leader_addr empty == leads) would leave this node
@@ -747,8 +752,8 @@ TEST(ReplicationFailoverTest, EmptyDemoteHintFencesInsteadOfSelfAdopting) {
   EXPECT_EQ(node.service->ProjectEpoch("uni"), 3u);
 
   ServiceResponse refused =
-      node.service->AssertRelation(session, {"sc1", "Student"}, 1,
-                                   {"sc2", "Grad"});
+      node.service->Execute(session,
+                            AssertCmd({"sc1", "Student"}, 1, {"sc2", "Grad"}));
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.error->code, ServiceErrorCode::kNotLeader);
   EXPECT_TRUE(refused.error->leader.empty());
@@ -763,8 +768,8 @@ TEST(ReplicationFailoverTest, EmptyDemoteHintFencesInsteadOfSelfAdopting) {
   EXPECT_EQ(*epoch, 4u);
   EXPECT_TRUE(node.service->LeadsWrites());
   EXPECT_TRUE(node.service
-                  ->AssertRelation(session, {"sc1", "Student"}, 1,
-                                   {"sc2", "Grad"})
+                  ->Execute(session,
+                            AssertCmd({"sc1", "Student"}, 1, {"sc2", "Grad"}))
                   .ok());
 }
 
@@ -787,7 +792,7 @@ TEST(ReplicationFailoverTest, SelfPointingDemoteHintFences) {
   EXPECT_EQ(service.ProjectEpoch("uni"), 2u);
 
   std::string session = service.OpenSession("uni");
-  ServiceResponse refused = service.Define(session, kUniversityDdl);
+  ServiceResponse refused = service.Execute(session, DefineCmd(kUniversityDdl));
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.error->code, ServiceErrorCode::kNotLeader);
   EXPECT_TRUE(refused.error->leader.empty());
@@ -797,7 +802,7 @@ TEST(ReplicationFailoverTest, HigherEpochSubscribeWithEmptyHintFences) {
   common::MemFs fs;
   Node leader(&fs, "/lead");
   std::string session = leader.service->OpenSession("uni");
-  ASSERT_TRUE(leader.service->Define(session, kUniversityDdl).ok());
+  ASSERT_TRUE(leader.service->Execute(session, DefineCmd(kUniversityDdl)).ok());
 
   ReplicationServer server(leader.service.get(), &fs, "/lead");
   ReplSubscribe subscribe;
@@ -814,8 +819,8 @@ TEST(ReplicationFailoverTest, HigherEpochSubscribeWithEmptyHintFences) {
   EXPECT_TRUE(leader.service->CurrentLeaderAddr().empty());
   EXPECT_EQ(leader.service->ProjectEpoch("uni"), 5u);
   ServiceResponse refused =
-      leader.service->AssertRelation(session, {"sc1", "Student"}, 1,
-                                     {"sc2", "Grad"});
+      leader.service->Execute(
+          session, AssertCmd({"sc1", "Student"}, 1, {"sc2", "Grad"}));
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.error->code, ServiceErrorCode::kNotLeader);
   EXPECT_TRUE(refused.error->leader.empty());

@@ -51,14 +51,19 @@ ServiceResponse MakeResponse(std::vector<std::string> lines) {
 TEST(ResponseCacheKeyTest, LengthPrefixingPreventsCollisions) {
   // Args containing the separator byte must not alias a different split.
   std::string sep = "\x01";
-  EXPECT_NE(ResponseCache::Key("rank", {"a" + sep + "b"}),
-            ResponseCache::Key("rank", {"a", "b"}));
-  EXPECT_NE(ResponseCache::Key("rank", {"a", "b"}),
-            ResponseCache::Key("rank", {"ab"}));
-  EXPECT_NE(ResponseCache::Key("rank", {}),
-            ResponseCache::Key("rank", {""}));
-  EXPECT_EQ(ResponseCache::Key("rank", {"a", "b"}),
-            ResponseCache::Key("rank", {"a", "b"}));
+  EXPECT_NE(ResponseCache::Key("p", "rank", {"a" + sep + "b"}),
+            ResponseCache::Key("p", "rank", {"a", "b"}));
+  EXPECT_NE(ResponseCache::Key("p", "rank", {"a", "b"}),
+            ResponseCache::Key("p", "rank", {"ab"}));
+  EXPECT_NE(ResponseCache::Key("p", "rank", {}),
+            ResponseCache::Key("p", "rank", {""}));
+  EXPECT_EQ(ResponseCache::Key("p", "rank", {"a", "b"}),
+            ResponseCache::Key("p", "rank", {"a", "b"}));
+  // The project is part of the key, and its end cannot be moved.
+  EXPECT_NE(ResponseCache::Key("p", "rank", {"a"}),
+            ResponseCache::Key("q", "rank", {"a"}));
+  EXPECT_NE(ResponseCache::Key("pr", "ank", {}),
+            ResponseCache::Key("p", "rank", {}));
 }
 
 TEST(ResponseCacheTest, HitWhenPartsIdentical) {
@@ -68,7 +73,7 @@ TEST(ResponseCacheTest, HitWhenPartsIdentical) {
   std::shared_ptr<const EngineSnapshot> snapshot = manager.Current();
 
   ResponseCache cache;
-  std::string key = ResponseCache::Key("rank", {"sc1", "sc2"});
+  std::string key = ResponseCache::Key("p", "rank", {"sc1", "sc2"});
   cache.Insert(key, *snapshot, MakeResponse({"line-1", "line-2"}));
 
   auto hit = cache.Lookup(key, *snapshot, kProtocolTextVersion);
@@ -91,7 +96,7 @@ TEST(ResponseCacheTest, StaysWarmAcrossPartSharingPublish) {
   std::shared_ptr<const EngineSnapshot> before = manager.Current();
 
   ResponseCache cache;
-  std::string key = ResponseCache::Key("rank", {"sc1", "sc2"});
+  std::string key = ResponseCache::Key("p", "rank", {"sc1", "sc2"});
   cache.Insert(key, *before, MakeResponse({"ranked"}));
 
   // An assertion append republishes but shares catalog + equivalence, so
@@ -115,7 +120,7 @@ TEST(ResponseCacheTest, EvictedWhenPartRecomputed) {
   std::shared_ptr<const EngineSnapshot> before = manager.Current();
 
   ResponseCache cache;
-  std::string key = ResponseCache::Key("suggest", {"sc1", "sc2"});
+  std::string key = ResponseCache::Key("p", "suggest", {"sc1", "sc2"});
   cache.Insert(key, *before, MakeResponse({"suggestion"}));
 
   // A new equivalence edit allocates a fresh equivalence map: the entry
@@ -144,7 +149,7 @@ TEST(ResponseCacheTest, NullnessMismatchIsAMiss) {
   ASSERT_EQ(before->integration, nullptr);
 
   ResponseCache cache;
-  std::string key = ResponseCache::Key("outline", {});
+  std::string key = ResponseCache::Key("p", "outline", {});
   cache.Insert(key, *before, MakeResponse({"pre-integrate"}));
 
   // Integration fills a part that used to be null; the entry recorded
@@ -168,23 +173,23 @@ TEST(ResponseCacheTest, CapEvictsLeastRecentlyUsed) {
   Counter* evictions = metrics.GetCounter("cache.evictions");
   cache.SetEvictionCounter(evictions);
   for (size_t i = 0; i < ResponseCache::kMaxEntries; ++i) {
-    cache.Insert(ResponseCache::Key("rank", {std::to_string(i)}), *snapshot,
-                 MakeResponse({"r"}));
+    cache.Insert(ResponseCache::Key("p", "rank", {std::to_string(i)}),
+                 *snapshot, MakeResponse({"r"}));
   }
   EXPECT_EQ(cache.size(), ResponseCache::kMaxEntries);
   // One more distinct key evicts exactly one entry — the oldest ("0").
-  cache.Insert(ResponseCache::Key("rank", {"overflow"}), *snapshot,
+  cache.Insert(ResponseCache::Key("p", "rank", {"overflow"}), *snapshot,
                MakeResponse({"r"}));
   EXPECT_EQ(cache.size(), ResponseCache::kMaxEntries);
   EXPECT_EQ(evictions->value(), 1);
-  EXPECT_FALSE(cache.Lookup(ResponseCache::Key("rank", {"0"}), *snapshot,
+  EXPECT_FALSE(cache.Lookup(ResponseCache::Key("p", "rank", {"0"}), *snapshot,
                             kProtocolTextVersion)
                    .has_value());
-  EXPECT_TRUE(cache.Lookup(ResponseCache::Key("rank", {"1"}), *snapshot,
+  EXPECT_TRUE(cache.Lookup(ResponseCache::Key("p", "rank", {"1"}), *snapshot,
                            kProtocolTextVersion)
                   .has_value());
   // Re-inserting an existing key at the cap neither evicts nor grows.
-  cache.Insert(ResponseCache::Key("rank", {"1"}), *snapshot,
+  cache.Insert(ResponseCache::Key("p", "rank", {"1"}), *snapshot,
                MakeResponse({"r2"}));
   EXPECT_EQ(cache.size(), ResponseCache::kMaxEntries);
   EXPECT_EQ(evictions->value(), 1);
@@ -197,12 +202,12 @@ TEST(ResponseCacheTest, HotKeysSurviveOverflow) {
   std::shared_ptr<const EngineSnapshot> snapshot = manager.Current();
 
   ResponseCache cache;
-  std::string hot = ResponseCache::Key("rank", {"hot"});
+  std::string hot = ResponseCache::Key("p", "rank", {"hot"});
   cache.Insert(hot, *snapshot, MakeResponse({"hot answer"}));
   // A scan of 4x-capacity one-off keys, with the hot key re-read along the
   // way: under LRU the scan only ever evicts its own cold tail.
   for (size_t i = 0; i < 4 * ResponseCache::kMaxEntries; ++i) {
-    cache.Insert(ResponseCache::Key("rank", {"cold" + std::to_string(i)}),
+    cache.Insert(ResponseCache::Key("p", "rank", {"cold" + std::to_string(i)}),
                  *snapshot, MakeResponse({"r"}));
     if (i % 16 == 0) {
       ASSERT_TRUE(cache.Lookup(hot, *snapshot, kProtocolTextVersion)
@@ -228,8 +233,10 @@ class RouterCacheTest : public ::testing::Test {
   RouterCacheTest() : service_(ServiceConfig{}), router_(&service_) {}
 
   // Opens a session and seeds + integrates the project.
-  void SeedThrough(RouterSession* session) {
-    EXPECT_EQ(router_.HandleLine("open uni", session).substr(0, 2), "ok");
+  void SeedThrough(RouterSession* session,
+                   const std::string& project = "uni") {
+    EXPECT_EQ(router_.HandleLine("open " + project, session).substr(0, 2),
+              "ok");
     EXPECT_EQ(router_.HandleLine(std::string("define ") + kInlineDdl, session)
                   .substr(0, 2),
               "ok");
@@ -359,6 +366,28 @@ TEST_F(RouterCacheTest, BinaryAndTextHitsShareOneEntry) {
   Result<ServiceResponse> text_parsed = ParseResponse(text_reply);
   ASSERT_TRUE(text_parsed.ok());
   EXPECT_EQ(decoded->items[0].lines, text_parsed->lines);
+}
+
+// Two projects with identical DDL ask identical questions; the project in
+// the key keeps their entries apart, so alternating traffic stays warm
+// instead of each lookup evicting the other project's entry.
+TEST_F(RouterCacheTest, ProjectsWithEqualSchemaNamesKeepSeparateEntries) {
+  RouterSession first;
+  SeedThrough(&first);
+  RouterSession second;
+  SeedThrough(&second, "uni2");
+
+  // Warm-up round: one miss per project.
+  std::string answer = router_.HandleLine("rank sc1 sc2", &first);
+  EXPECT_EQ(router_.HandleLine("rank sc1 sc2", &second), answer);
+  int64_t hits_before = CacheHits();
+  for (int round = 0; round < 5; ++round) {
+    EXPECT_EQ(router_.HandleLine("rank sc1 sc2", &first), answer);
+    EXPECT_EQ(router_.HandleLine("rank sc1 sc2", &second), answer);
+  }
+  EXPECT_EQ(CacheHits(), hits_before + 10);
+  EXPECT_EQ(service_.metrics().GetCounter("cache.evictions")->value(), 0);
+  EXPECT_EQ(router_.cache().size(), 2u);
 }
 
 }  // namespace

@@ -7,16 +7,15 @@
 
 #include <gtest/gtest.h>
 
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "commands.h"
 #include "common/clock.h"
 #include "service/protocol.h"
 #include "service/router.h"
+#include "service/verbs.h"
 
 namespace ecrint::service {
 namespace {
@@ -37,20 +36,21 @@ class ServiceTest : public ::testing::Test {
 
   // Declares the standard equivalences and asserts Student = Grad.
   void SeedProject() {
-    ASSERT_TRUE(service_->Define(session_, kUniversityDdl).ok());
-    ASSERT_TRUE(service_
-                    ->DeclareEquivalence(session_,
-                                         {"sc1", "Student", "Name"},
-                                         {"sc2", "Grad", "Name"})
-                    .ok());
-    ASSERT_TRUE(service_
-                    ->DeclareEquivalence(session_, {"sc1", "Student", "GPA"},
-                                         {"sc2", "Grad", "GPA"})
-                    .ok());
-    ASSERT_TRUE(service_
-                    ->AssertRelation(session_, {"sc1", "Student"},
-                                     /*type_code=*/1, {"sc2", "Grad"})
-                    .ok());
+    ASSERT_TRUE(Run(DefineCmd(kUniversityDdl)).ok());
+    ASSERT_TRUE(
+        Run(EquivCmd({"sc1", "Student", "Name"}, {"sc2", "Grad", "Name"}))
+            .ok());
+    ASSERT_TRUE(
+        Run(EquivCmd({"sc1", "Student", "GPA"}, {"sc2", "Grad", "GPA"}))
+            .ok());
+    ASSERT_TRUE(
+        Run(AssertCmd({"sc1", "Student"}, /*type_code=*/1, {"sc2", "Grad"}))
+            .ok());
+  }
+
+  // Runs one command on the fixture's session.
+  ServiceResponse Run(const ServiceCommand& command) {
+    return service_->Execute(session_, command);
   }
 
   common::ManualClock clock_;
@@ -61,29 +61,29 @@ class ServiceTest : public ::testing::Test {
 
 TEST_F(ServiceTest, WriteReadPipeline) {
   SeedProject();
-  ServiceResponse integrated = service_->Integrate(session_, {});
+  ServiceResponse integrated = Run(IntegrateCmd());
   ASSERT_TRUE(integrated.ok());
   EXPECT_FALSE(integrated.lines.empty());
 
-  ServiceResponse ranked = service_->RankedPairs(
-      session_, "sc1", "sc2", core::StructureKind::kObjectClass,
-      /*include_zero=*/true);
+  ServiceResponse ranked = Run(RankCmd(
+      "sc1", "sc2", core::StructureKind::kObjectClass, /*include_zero=*/true));
   ASSERT_TRUE(ranked.ok());
   ASSERT_EQ(ranked.lines.size(), 1u);
   // Two shared attribute classes across four attribute slots.
   EXPECT_EQ(ranked.lines[0], "sc1.Student sc2.Grad 0.5000");
 
-  ServiceResponse outline = service_->IntegratedOutline(session_);
+  ServiceResponse outline = Run(OpCmd(ServiceCommand::Op::kOutline));
   ASSERT_TRUE(outline.ok());
   EXPECT_FALSE(outline.lines.empty());
 
-  ServiceResponse exported = service_->ExportProject(session_);
+  ServiceResponse exported = Run(OpCmd(ServiceCommand::Op::kExport));
   ASSERT_TRUE(exported.ok());
   EXPECT_EQ(exported.lines[0], "# ecrint project file");
 }
 
 TEST_F(ServiceTest, UnknownSessionIsBadRequest) {
-  ServiceResponse response = service_->IntegratedOutline("s999");
+  ServiceResponse response =
+      service_->Execute("s999", OpCmd(ServiceCommand::Op::kOutline));
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.error->code, ServiceErrorCode::kBadRequest);
 }
@@ -91,8 +91,8 @@ TEST_F(ServiceTest, UnknownSessionIsBadRequest) {
 TEST_F(ServiceTest, ConflictingAssertionMapsToConflict) {
   SeedProject();
   // Student = Grad already holds; DISJOINT contradicts it.
-  ServiceResponse response = service_->AssertRelation(
-      session_, {"sc1", "Student"}, /*type_code=*/0, {"sc2", "Grad"});
+  ServiceResponse response =
+      Run(AssertCmd({"sc1", "Student"}, /*type_code=*/0, {"sc2", "Grad"}));
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.error->code, ServiceErrorCode::kConflict);
   EXPECT_FALSE(response.error->message.empty());
@@ -103,7 +103,7 @@ TEST_F(ServiceTest, ExpiredDeadlineIsTimeout) {
   clock_.AdvanceNs(1'000'000);
   // An absolute deadline already in the past: refused before execution.
   ServiceResponse response =
-      service_->IntegratedOutline(session_, /*deadline_ns=*/500'000);
+      Run(OpCmd(ServiceCommand::Op::kOutline, /*deadline_ns=*/500'000));
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.error->code, ServiceErrorCode::kTimeout);
 }
@@ -114,7 +114,8 @@ TEST_F(ServiceTest, QueueDepthZeroShedsEverything) {
   config.queue_depth = 0;
   IntegrationService strict(config);
   std::string session = strict.OpenSession("p");
-  ServiceResponse response = strict.Define(session, kUniversityDdl);
+  ServiceResponse response =
+      strict.Execute(session, DefineCmd(kUniversityDdl));
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.error->code, ServiceErrorCode::kOverloaded);
 }
@@ -124,31 +125,30 @@ TEST_F(ServiceTest, IdleSessionsAreReaped) {
   EXPECT_EQ(service_->sessions().size(), 2);
   // Activity keeps a session alive across the timeout window...
   clock_.AdvanceNs(config_.session_idle_timeout_ns / 2);
-  ASSERT_TRUE(service_->Define(session_, kUniversityDdl).ok());
+  ASSERT_TRUE(Run(DefineCmd(kUniversityDdl)).ok());
   clock_.AdvanceNs(config_.session_idle_timeout_ns / 2 + 1);
   // ...while `idle` is now past its lease: the next request from anyone
   // reaps it (opportunistic, no timer thread), and its own requests fail.
-  ASSERT_TRUE(service_
-                  ->DeclareEquivalence(session_, {"sc1", "Student", "Name"},
-                                       {"sc2", "Grad", "Name"})
-                  .ok());
+  ASSERT_TRUE(
+      Run(EquivCmd({"sc1", "Student", "Name"}, {"sc2", "Grad", "Name"}))
+          .ok());
   EXPECT_EQ(service_->sessions().size(), 1);
-  ServiceResponse stale = service_->IntegratedOutline(idle);
+  ServiceResponse stale =
+      service_->Execute(idle, OpCmd(ServiceCommand::Op::kOutline));
   ASSERT_FALSE(stale.ok());
   EXPECT_EQ(stale.error->code, ServiceErrorCode::kBadRequest);
 }
 
 TEST_F(ServiceTest, SnapshotIsolatesReadersFromWrites) {
   SeedProject();
-  ASSERT_TRUE(service_->Integrate(session_, {}).ok());
+  ASSERT_TRUE(Run(IntegrateCmd()).ok());
   std::shared_ptr<const EngineSnapshot> held =
       service_->CurrentSnapshot(session_);
   ASSERT_NE(held, nullptr);
 
   // A write after the grab does not disturb the held snapshot.
   ASSERT_TRUE(
-      service_->Define(session_, "schema sc3 { entity E { A: char key; } }")
-          .ok());
+      Run(DefineCmd("schema sc3 { entity E { A: char key; } }")).ok());
   EXPECT_EQ(held->catalog->SchemaNames().size(), 2u);
   std::shared_ptr<const EngineSnapshot> fresh =
       service_->CurrentSnapshot(session_);
@@ -159,7 +159,8 @@ TEST_F(ServiceTest, SnapshotIsolatesReadersFromWrites) {
 
 TEST_F(ServiceTest, MetricsCountRequestsAndErrors) {
   SeedProject();
-  (void)service_->IntegratedOutline("s999");  // BAD_REQUEST
+  (void)service_->Execute("s999",
+                          OpCmd(ServiceCommand::Op::kOutline));  // BAD_REQUEST
   std::string json = service_->metrics().MetricsJson();
   EXPECT_NE(json.find("\"requests.define\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"requests.equiv\": 2"), std::string::npos);
@@ -172,7 +173,7 @@ TEST_F(ServiceTest, ClosureMetricsSurfaceKernelActivity) {
   SeedProject();
   // Integrate seeds schema structure through the closure kernel, so the
   // closure.* instruments must show pops/narrowings and a kernel sample.
-  ASSERT_TRUE(service_->Integrate(session_, {}).ok());
+  ASSERT_TRUE(Run(IntegrateCmd()).ok());
   std::string json = service_->metrics().MetricsJson();
   EXPECT_NE(json.find("closure.worklist_pops"), std::string::npos);
   EXPECT_NE(json.find("closure.row_compositions"), std::string::npos);
@@ -182,10 +183,9 @@ TEST_F(ServiceTest, ClosureMetricsSurfaceKernelActivity) {
   EXPECT_GT(service_->metrics().GetCounter("closure.worklist_pops")->value(),
             0);
   // A rejected contradiction bumps the conflict counter.
-  ASSERT_FALSE(service_
-                   ->AssertRelation(session_, {"sc1", "Student"},
-                                    /*type_code=*/0, {"sc2", "Grad"})
-                   .ok());
+  ASSERT_FALSE(
+      Run(AssertCmd({"sc1", "Student"}, /*type_code=*/0, {"sc2", "Grad"}))
+          .ok());
   EXPECT_GT(service_->metrics().GetCounter("closure.conflicts")->value(), 0);
 }
 
@@ -257,29 +257,8 @@ TEST_F(RouterTest, DeadlineZeroExpiresEveryRequest) {
   EXPECT_EQ(Err("outline").code, ServiceErrorCode::kTimeout);
   Ok("deadline default");
   SeedProject();  // direct API writes still work
-  ASSERT_TRUE(service_->Integrate(session_, {}).ok());
+  ASSERT_TRUE(Run(IntegrateCmd()).ok());
   EXPECT_FALSE(Ok("outline").empty());
-}
-
-TEST_F(RouterTest, AsyncMatchesSynchronous) {
-  Ok("open uni");
-  Ok("define " + EscapeField(kUniversityDdl));
-  std::string sync = router_.HandleLine("rank sc1 sc2 zero",
-                                        &wire_session_);
-  std::string async;
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool done = false;
-  router_.HandleLineAsync("rank sc1 sc2 zero", &wire_session_,
-                          [&](std::string response) {
-                            std::lock_guard<std::mutex> lock(mutex);
-                            async = std::move(response);
-                            done = true;
-                            cv.notify_one();
-                          });
-  std::unique_lock<std::mutex> lock(mutex);
-  cv.wait(lock, [&] { return done; });
-  EXPECT_EQ(sync, async);
 }
 
 TEST_F(RouterTest, DemoteRejectsMalformedEpochs) {
@@ -301,6 +280,62 @@ TEST_F(RouterTest, DemoteRejectsMalformedEpochs) {
   // The largest usable epoch and a plain small one still parse.
   EXPECT_FALSE(Ok("demote 2 10.0.0.9:7400").empty());
   EXPECT_FALSE(Ok("demote 18446744073709551614 10.0.0.9:7400").empty());
+}
+
+// Every request that bumps requests.<verb> records exactly one
+// latency.<verb> sample: text lines, binary singles, batch items, cache
+// hits and ping alike.
+TEST_F(RouterTest, EveryCountedRequestHasOneLatencySample) {
+  Ok("ping");
+  Ok("open uni");
+  Ok("ping");
+  Ok("define " + EscapeField(kUniversityDdl));
+  Ok("equiv sc1.Student.Name sc2.Grad.Name");
+  Ok("integrate");
+  for (int i = 0; i < 3; ++i) Ok("rank sc1 sc2 zero");  // hits after one
+  Ok("outline");
+  Ok("metrics");
+
+  RouterSession binary;
+  ASSERT_EQ(router_.HandleLine("open uni", &binary).substr(0, 2), "ok");
+  ASSERT_EQ(router_.HandleLine("proto 2", &binary).substr(0, 2), "ok");
+  auto send = [&](const std::string& frame) {
+    std::string_view body;
+    size_t consumed = 0;
+    std::string error;
+    ASSERT_EQ(ExtractFrame(frame, &body, &consumed, &error),
+              FrameStatus::kComplete);
+    (void)router_.HandleFrame(body, &binary);
+  };
+  const BinaryRequest ping{WireVerb::kPing, {}};
+  const BinaryRequest rank{WireVerb::kRank, {"sc1", "sc2", "zero"}};
+  send(EncodeBinaryRequest(ping));
+  send(EncodeBinaryRequest(rank));
+  send(EncodeBinaryRequest({WireVerb::kAssert, {"sc1.Student", "1",
+                                                 "sc2.Grad"}}));
+  send(EncodeBinaryBatch(
+      {ping, rank, rank,
+       {WireVerb::kEquiv, {"sc1.Student.GPA", "sc2.Grad.GPA"}},
+       {WireVerb::kSuggest, {"sc1", "sc2"}},
+       {WireVerb::kTranslate, {"sc1.Student"}},
+       {WireVerb::kOutline, {}},
+       {WireVerb::kExport, {}},
+       {WireVerb::kMetrics, {}}}));
+
+  MetricsRegistry& metrics = service_->metrics();
+  EXPECT_GE(metrics.GetCounter("cache.hits")->value(), 3);
+  EXPECT_EQ(metrics.GetCounter("requests.ping")->value(), 4);
+  EXPECT_EQ(metrics.GetCounter("requests.batch")->value(), 1);
+  for (const Verb& verb : Verbs()) {
+    if (verb.parse == nullptr) continue;  // answered by the router
+    const std::string name = verb.name;
+    EXPECT_GT(metrics.GetCounter("requests." + name)->value(), 0) << name;
+    EXPECT_EQ(metrics.GetHistogram("latency." + name)->count(),
+              metrics.GetCounter("requests." + name)->value())
+        << name;
+  }
+  EXPECT_EQ(metrics.GetHistogram("latency.batch")->count(),
+            metrics.GetCounter("requests.batch")->value());
 }
 
 }  // namespace

@@ -34,7 +34,7 @@
 #include <utility>
 #include <vector>
 
-#include "service/chaos.h"
+#include "testing/chaos.h"
 
 namespace {
 
