@@ -52,25 +52,22 @@ std::string SerializeProject(const ecr::Catalog& catalog,
   return out;
 }
 
-namespace {
-
-Result<ecr::AttributePath> ParsePath(const std::string& text) {
-  std::vector<std::string> parts = Split(text, '.');
+Result<ecr::AttributePath> ParsePath(const std::string& token) {
+  std::vector<std::string> parts = Split(token, '.');
   if (parts.size() != 3) {
-    return ParseError("'" + text + "' is not a schema.object.attribute path");
+    return ParseError("expected schema.object.attribute, got '" + token +
+                      "'");
   }
   return ecr::AttributePath{parts[0], parts[1], parts[2]};
 }
 
-Result<ObjectRef> ParseRef(const std::string& text) {
-  std::vector<std::string> parts = Split(text, '.');
+Result<ObjectRef> ParseRef(const std::string& token) {
+  std::vector<std::string> parts = Split(token, '.');
   if (parts.size() != 2) {
-    return ParseError("'" + text + "' is not a schema.object reference");
+    return ParseError("expected schema.object, got '" + token + "'");
   }
   return ObjectRef{parts[0], parts[1]};
 }
-
-}  // namespace
 
 Result<Project> ParseProject(const std::string& text) {
   enum class Section { kNone, kSchemas, kEquivalences, kAssertions };

@@ -43,6 +43,12 @@ std::string SerializeProject(const ecr::Catalog& catalog,
 
 Result<Project> ParseProject(const std::string& text);
 
+// The textual forms of attribute paths ("sc1.Student.Name") and object
+// references ("sc1.Student") shared by project files, the wire verbs and
+// the journal.
+Result<ecr::AttributePath> ParsePath(const std::string& token);
+Result<ObjectRef> ParseRef(const std::string& token);
+
 Status SaveProjectFile(const std::string& path, const ecr::Catalog& catalog,
                        const EquivalenceMap& equivalence,
                        const AssertionStore& assertions);

@@ -5,29 +5,9 @@
 
 #include "common/strings.h"
 #include "core/assertion.h"
+#include "core/project_io.h"
 
 namespace ecrint::engine {
-
-namespace {
-
-Result<ecr::AttributePath> ParsePath(const std::string& token) {
-  std::vector<std::string> parts = Split(token, '.');
-  if (parts.size() != 3) {
-    return ParseError("expected schema.object.attribute, got '" + token +
-                      "'");
-  }
-  return ecr::AttributePath{parts[0], parts[1], parts[2]};
-}
-
-Result<core::ObjectRef> ParseRef(const std::string& token) {
-  std::vector<std::string> parts = Split(token, '.');
-  if (parts.size() != 2) {
-    return ParseError("expected schema.object, got '" + token + "'");
-  }
-  return core::ObjectRef{parts[0], parts[1]};
-}
-
-}  // namespace
 
 ReplayVerb DefineVerb(std::string ddl) {
   ReplayVerb verb;
@@ -105,8 +85,10 @@ Result<ReplayVerb> DecodeReplayVerb(std::string_view payload) {
       return ParseError("equiv verb wants 2 paths, got " +
                         std::to_string(tokens.size()));
     }
-    ECRINT_ASSIGN_OR_RETURN(ecr::AttributePath a, ParsePath(tokens[0]));
-    ECRINT_ASSIGN_OR_RETURN(ecr::AttributePath b, ParsePath(tokens[1]));
+    ECRINT_ASSIGN_OR_RETURN(ecr::AttributePath a,
+                            core::ParsePath(tokens[0]));
+    ECRINT_ASSIGN_OR_RETURN(ecr::AttributePath b,
+                            core::ParsePath(tokens[1]));
     return EquivalenceVerb(std::move(a), std::move(b));
   }
 
@@ -115,8 +97,10 @@ Result<ReplayVerb> DecodeReplayVerb(std::string_view payload) {
       return ParseError("assert verb wants ref code ref, got " +
                         std::to_string(tokens.size()) + " tokens");
     }
-    ECRINT_ASSIGN_OR_RETURN(core::ObjectRef first, ParseRef(tokens[0]));
-    ECRINT_ASSIGN_OR_RETURN(core::ObjectRef second, ParseRef(tokens[2]));
+    ECRINT_ASSIGN_OR_RETURN(core::ObjectRef first,
+                            core::ParseRef(tokens[0]));
+    ECRINT_ASSIGN_OR_RETURN(core::ObjectRef second,
+                            core::ParseRef(tokens[2]));
     char* end = nullptr;
     long code = std::strtol(tokens[1].c_str(), &end, 10);
     if (end == tokens[1].c_str() || *end != '\0') {
@@ -135,20 +119,23 @@ Result<ReplayVerb> DecodeReplayVerb(std::string_view payload) {
 }
 
 void BeginReplay(Engine& engine) {
-  // Mirrors the empty-snapshot publication OpenSession performs on a fresh
-  // project: materializing the map bumps the equivalence generation once.
+  // A fresh project publishes its empty snapshot, which materializes the
+  // map over the empty catalog and bumps the equivalence generation once.
   engine.Equivalence();
 }
 
-Status ApplyReplayVerb(Engine& engine, const ReplayVerb& verb) {
+Result<std::vector<std::string>> ApplyReplayVerb(Engine& engine,
+                                                 const ReplayVerb& verb) {
   Status status;
+  std::vector<std::string> defined;
   switch (verb.kind) {
     case ReplayVerb::Kind::kDefine: {
       Result<std::vector<std::string>> names = engine.DefineSchema(verb.ddl);
       if (names.ok()) {
-        // The service's policy: every define ends schema collection, so the
-        // map is rebuilt over the new catalog (IntegrationService::Define).
+        // Every define ends schema collection: the map is rebuilt over the
+        // new catalog.
         engine.ResetEquivalence();
+        defined = *std::move(names);
       } else {
         status = names.status();
       }
@@ -176,11 +163,11 @@ Status ApplyReplayVerb(Engine& engine, const ReplayVerb& verb) {
       break;
     }
   }
-  // Snapshot publication runs after every write, success or not, and
-  // forces the equivalence map to exist; replay must do the same or its
-  // generation counters drift off the live engine's.
+  // Every write, success or not, leaves the equivalence map materialized,
+  // so the stamp after a verb does not depend on what runs next.
   engine.Equivalence();
-  return status;
+  if (!status.ok()) return status;
+  return defined;
 }
 
 }  // namespace ecrint::engine

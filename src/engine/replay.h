@@ -45,21 +45,23 @@ ReplayVerb IntegrateVerb(std::vector<std::string> schemas);
 std::string EncodeReplayVerb(const ReplayVerb& verb);
 Result<ReplayVerb> DecodeReplayVerb(std::string_view payload);
 
-// Puts a fresh engine into the state the service plane's initial snapshot
+// Puts a fresh engine into the state a new project's initial snapshot
 // publication leaves it in (the equivalence map materialized over the
 // empty catalog). Serial replay must start here, or its generation
-// counters drift off the live engine's by the initial publish.
+// counters drift off the live engine's by that initial publish.
 void BeginReplay(Engine& engine);
 
-// Applies one verb with the service plane's exact engine interaction
-// sequence: the verb's engine calls (define additionally ends schema
-// collection via ResetEquivalence, mirroring IntegrationService::Define),
-// then the equivalence-map materialization that snapshot publication
-// forces after every write — success or failure. A failing verb returns
-// its status but leaves the engine in the same state the original failing
-// request did, so journals that contain rejected verbs (the WAL is written
-// before the engine runs) replay deterministically.
-Status ApplyReplayVerb(Engine& engine, const ReplayVerb& verb);
+// The only code that applies a journaled write to an engine: live writes,
+// WAL recovery and replicas all run each verb through it. Runs the verb's
+// engine calls (a define also ends schema collection via
+// ResetEquivalence), then materializes the equivalence map — success or
+// failure. On success returns the names of the schemas a define added
+// (empty for the other kinds). A failing verb returns its status and
+// leaves the engine exactly as the original failing request did, so
+// journals that contain rejected verbs (the WAL is written before the
+// engine runs) replay deterministically.
+Result<std::vector<std::string>> ApplyReplayVerb(Engine& engine,
+                                                 const ReplayVerb& verb);
 
 }  // namespace ecrint::engine
 

@@ -1,7 +1,6 @@
 #include "service/recovery.h"
 
 #include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "common/checksum.h"
@@ -52,8 +51,9 @@ uint64_t GetU64Le(const char* p) {
          static_cast<uint64_t>(GetU32Le(p + 4)) << 32;
 }
 
-// The META section carries the v1 header lines (no magic): seq, stamp,
-// and the optional integrated line.
+// The checkpoint header both formats share: v1 writes it between its magic
+// line and %project, v2 stores it as the META section. Lines: seq, the
+// optional epoch, stamp, and the optional integrated line.
 std::string SerializeMetaSection(const Checkpoint& checkpoint) {
   std::string out = "seq " + std::to_string(checkpoint.seq);
   // Emitted only when a failover ever bumped it: epoch-0 checkpoints stay
@@ -186,26 +186,39 @@ Result<CheckpointView> ParseCheckpointV2(std::string_view bytes) {
   return view;
 }
 
+// v1: the magic line, the meta lines, a "%project" line, then the project
+// text, which the view references in place.
+Result<CheckpointView> ParseCheckpointV1(std::string_view text) {
+  size_t eol = text.find('\n');
+  if (text.substr(0, eol) != kCheckpointMagic) {
+    return ParseError("not a checkpoint file (bad magic line)");
+  }
+  const size_t meta_begin = eol == std::string_view::npos ? text.size()
+                                                          : eol + 1;
+  for (size_t pos = meta_begin; pos < text.size();) {
+    eol = text.find('\n', pos);
+    if (text.substr(pos, eol == std::string_view::npos ? eol : eol - pos) ==
+        kProjectMarker) {
+      CheckpointView view;
+      ECRINT_RETURN_IF_ERROR(
+          ParseMetaSection(text.substr(meta_begin, pos - meta_begin), view));
+      if (eol != std::string_view::npos) {
+        view.project_text = text.substr(eol + 1);
+      }
+      return view;
+    }
+    pos = eol == std::string_view::npos ? text.size() : eol + 1;
+  }
+  return ParseError("checkpoint has no " + std::string(kProjectMarker) +
+                    " section");
+}
+
 }  // namespace
 
 std::string SerializeCheckpoint(const Checkpoint& checkpoint) {
   std::string out = kCheckpointMagic;
-  out += "\nseq " + std::to_string(checkpoint.seq);
-  if (checkpoint.epoch > 0) {
-    out += "\nepoch " + std::to_string(checkpoint.epoch);
-  }
-  out += "\nstamp " + std::to_string(checkpoint.stamp.schema_generation) +
-         " " + std::to_string(checkpoint.stamp.equivalence_generation) + " " +
-         std::to_string(checkpoint.stamp.assertion_epoch) + " " +
-         std::to_string(checkpoint.stamp.assertion_log_size) + " " +
-         std::to_string(checkpoint.stamp.integration_version);
-  if (checkpoint.integrated) {
-    out += "\nintegrated";
-    for (const std::string& schema : checkpoint.integrated_schemas) {
-      out += " " + schema;
-    }
-  }
   out += "\n";
+  out += SerializeMetaSection(checkpoint);
   out += kProjectMarker;
   out += "\n";
   out += checkpoint.project_text;
@@ -213,78 +226,15 @@ std::string SerializeCheckpoint(const Checkpoint& checkpoint) {
 }
 
 Result<Checkpoint> ParseCheckpoint(std::string_view text) {
+  ECRINT_ASSIGN_OR_RETURN(CheckpointView view, ParseCheckpointV1(text));
   Checkpoint checkpoint;
-  bool saw_magic = false, saw_seq = false, saw_stamp = false;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    size_t eol = text.find('\n', pos);
-    std::string_view line = eol == std::string_view::npos
-                                ? text.substr(pos)
-                                : text.substr(pos, eol - pos);
-    size_t next = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
-    if (!saw_magic) {
-      if (line != kCheckpointMagic) {
-        return ParseError("not a checkpoint file (bad magic line)");
-      }
-      saw_magic = true;
-      pos = next;
-      continue;
-    }
-    if (line == kProjectMarker) {
-      checkpoint.project_text =
-          eol == std::string_view::npos ? std::string()
-                                        : std::string(text.substr(eol + 1));
-      if (!saw_seq || !saw_stamp) {
-        return ParseError("checkpoint header missing seq or stamp line");
-      }
-      return checkpoint;
-    }
-    std::vector<std::string> tokens;
-    for (const std::string& token : Split(line, ' ')) {
-      if (!token.empty()) tokens.push_back(token);
-    }
-    if (tokens.empty()) {
-      pos = next;
-      continue;
-    }
-    if (tokens[0] == "seq") {
-      if (tokens.size() != 2) return ParseError("malformed seq line");
-      ECRINT_ASSIGN_OR_RETURN(int64_t seq, ParseInt64(tokens[1]));
-      if (seq < 0) return ParseError("negative checkpoint seq");
-      checkpoint.seq = static_cast<uint64_t>(seq);
-      saw_seq = true;
-    } else if (tokens[0] == "epoch") {
-      if (tokens.size() != 2) return ParseError("malformed epoch line");
-      ECRINT_ASSIGN_OR_RETURN(int64_t epoch, ParseInt64(tokens[1]));
-      if (epoch < 0) return ParseError("negative checkpoint epoch");
-      checkpoint.epoch = static_cast<uint64_t>(epoch);
-    } else if (tokens[0] == "stamp") {
-      if (tokens.size() != 6) {
-        return ParseError("stamp line wants 5 counters, got " +
-                          std::to_string(tokens.size() - 1));
-      }
-      ECRINT_ASSIGN_OR_RETURN(checkpoint.stamp.schema_generation,
-                              ParseInt64(tokens[1]));
-      ECRINT_ASSIGN_OR_RETURN(checkpoint.stamp.equivalence_generation,
-                              ParseInt64(tokens[2]));
-      ECRINT_ASSIGN_OR_RETURN(checkpoint.stamp.assertion_epoch,
-                              ParseInt64(tokens[3]));
-      ECRINT_ASSIGN_OR_RETURN(checkpoint.stamp.assertion_log_size,
-                              ParseInt64(tokens[4]));
-      ECRINT_ASSIGN_OR_RETURN(checkpoint.stamp.integration_version,
-                              ParseInt64(tokens[5]));
-      saw_stamp = true;
-    } else if (tokens[0] == "integrated") {
-      checkpoint.integrated = true;
-      checkpoint.integrated_schemas.assign(tokens.begin() + 1, tokens.end());
-    } else {
-      return ParseError("unknown checkpoint header line '" +
-                        std::string(line) + "'");
-    }
-    pos = next;
-  }
-  return ParseError("checkpoint has no " + std::string(kProjectMarker) +
-                    " section");
+  checkpoint.seq = view.seq;
+  checkpoint.epoch = view.epoch;
+  checkpoint.stamp = view.stamp;
+  checkpoint.integrated = view.integrated;
+  checkpoint.integrated_schemas = std::move(view.integrated_schemas);
+  checkpoint.project_text = std::string(view.project_text);
+  return checkpoint;
 }
 
 std::string SerializeCheckpointV2(const Checkpoint& checkpoint) {
@@ -327,25 +277,29 @@ std::string SerializeCheckpointV2(const Checkpoint& checkpoint) {
 }
 
 Result<CheckpointView> ParseCheckpointAny(std::string_view bytes) {
-  if (bytes.size() >= kCheckpointV2Magic.size() &&
-      bytes.substr(0, kCheckpointV2Magic.size()) == kCheckpointV2Magic) {
+  if (bytes.substr(0, kCheckpointV2Magic.size()) == kCheckpointV2Magic) {
     return ParseCheckpointV2(bytes);
   }
-  ECRINT_ASSIGN_OR_RETURN(Checkpoint v1, ParseCheckpoint(bytes));
-  CheckpointView view;
-  view.seq = v1.seq;
-  view.epoch = v1.epoch;
-  view.stamp = v1.stamp;
-  view.integrated = v1.integrated;
-  view.integrated_schemas = std::move(v1.integrated_schemas);
-  // v1's parser copied the project text; re-point the view at the original
-  // region of `bytes` so both formats share one lifetime rule.
-  size_t marker = bytes.find(std::string("\n") + kProjectMarker + "\n");
-  view.project_text =
-      marker == std::string_view::npos
-          ? std::string_view()
-          : bytes.substr(marker + 1 + std::strlen(kProjectMarker) + 1);
-  return view;
+  return ParseCheckpointV1(bytes);
+}
+
+Status RestoreCheckpoint(const CheckpointView& checkpoint,
+                         engine::Engine& engine) {
+  // core::ParseProject wants an owned string; this is the one copy.
+  ECRINT_ASSIGN_OR_RETURN(
+      core::Project project,
+      core::ParseProject(std::string(checkpoint.project_text)));
+  ECRINT_RETURN_IF_ERROR(engine.ImportProject(std::move(project)));
+  if (checkpoint.integrated) {
+    Result<const core::IntegrationResult*> integrated =
+        engine.Integrate(checkpoint.integrated_schemas);
+    if (!integrated.ok()) {
+      return InternalError("checkpoint claims a current integration but "
+                           "rebuilding it failed: " +
+                           integrated.status().message());
+    }
+  }
+  return engine.AdoptReplayStamp(checkpoint.stamp);
 }
 
 std::string ProjectDirName(const std::string& project) {
@@ -410,21 +364,7 @@ Result<std::unique_ptr<RecoveryManager>> RecoveryManager::Open(
                             fs->OpenMmap(checkpoint_path));
     ECRINT_ASSIGN_OR_RETURN(CheckpointView checkpoint,
                             ParseCheckpointAny(mapping->view()));
-    // core::ParseProject wants an owned string; this is the one copy.
-    ECRINT_ASSIGN_OR_RETURN(
-        core::Project project,
-        core::ParseProject(std::string(checkpoint.project_text)));
-    ECRINT_RETURN_IF_ERROR(engine.ImportProject(std::move(project)));
-    if (checkpoint.integrated) {
-      Result<const core::IntegrationResult*> integrated =
-          engine.Integrate(checkpoint.integrated_schemas);
-      if (!integrated.ok()) {
-        return InternalError("checkpoint claims a current integration but "
-                             "rebuilding it failed: " +
-                             integrated.status().message());
-      }
-    }
-    ECRINT_RETURN_IF_ERROR(engine.AdoptReplayStamp(checkpoint.stamp));
+    ECRINT_RETURN_IF_ERROR(RestoreCheckpoint(checkpoint, engine));
     stats->restored_checkpoint = true;
     stats->checkpoint_seq = checkpoint.seq;
     manager->epoch_ = checkpoint.epoch;
@@ -541,7 +481,7 @@ Status RecoveryManager::WriteCheckpoint(engine::Engine& engine) {
   records_since_checkpoint_ = 0;
   Status rotated = journal_->Rotate();
   if (!rotated.ok()) {
-    // The append handle is gone; the next LogVerb fails and the service
+    // The append handle is gone; the next LogRun fails and the service
     // degrades the project. Recovery skips the stale records by sequence.
     Bump(checkpoint_failures_);
     return rotated;

@@ -106,8 +106,16 @@ struct CheckpointView {
 
 // Parses a checkpoint in either format, sniffed by magic: v2 validates the
 // table CRC and the CRC of every section it reads; v1 falls back to the
-// text parser (project_text then references `bytes` directly either way).
+// text parser (project_text references `bytes` directly either way).
 Result<CheckpointView> ParseCheckpointAny(std::string_view bytes);
+
+// The one checkpoint restore, shared by crash recovery and follower
+// bootstrap: parses the project text into `engine` (which must be fresh),
+// rebuilds the integration the checkpoint recorded as current, and adopts
+// the checkpoint's stamp so the engine is Stamp()-identical to the one
+// that wrote it.
+Status RestoreCheckpoint(const CheckpointView& checkpoint,
+                         engine::Engine& engine);
 
 // Filesystem-safe directory name for a project: bytes outside
 // [A-Za-z0-9_-] are %XX percent-encoded, so "../evil" cannot escape the
@@ -137,12 +145,11 @@ class RecoveryManager {
   // a longer run is group-committed — appended without syncs, then ONE
   // barrier covers it (kAlways and kBatch: one fsync per run).
   Status LogRun(std::span<const engine::ReplayVerb> verbs);
-  Status LogVerb(const engine::ReplayVerb& verb) { return LogRun({&verb, 1}); }
 
   // Writes a checkpoint of the engine's current state and rotates the
   // journal. An atomic-write failure is non-fatal (the previous checkpoint
   // and the full journal still recover everything); a rotation failure
-  // closes the journal, so the next LogVerb fails and degrades the
+  // closes the journal, so the next LogRun fails and degrades the
   // project.
   Status WriteCheckpoint(engine::Engine& engine);
 

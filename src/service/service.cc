@@ -55,59 +55,6 @@ ServiceResponse WriteFailure(const engine::Engine& engine,
 
 // --- verb bodies -----------------------------------------------------------
 
-ServiceResponse DefineBody(engine::Engine& engine,
-                           const ServiceCommand& command) {
-  size_t before = engine.diagnostics().size();
-  Result<std::vector<std::string>> names = engine.DefineSchema(command.text);
-  if (!names.ok()) {
-    return WriteFailure(engine, before, names.status());
-  }
-  // The engine leaves equivalence rebuild timing to the frontend (it is
-  // DDA-visible); the service's policy is that every define ends schema
-  // collection, so the snapshot publish afterwards re-registers the new
-  // catalog.
-  engine.ResetEquivalence();
-  ServiceResponse response;
-  response.lines = *std::move(names);
-  return response;
-}
-
-ServiceResponse EquivBody(engine::Engine& engine,
-                          const ServiceCommand& command) {
-  const ecr::AttributePath& a = command.path_a;
-  const ecr::AttributePath& b = command.path_b;
-  size_t before = engine.diagnostics().size();
-  Status status = engine.AssertEquivalence(a, b);
-  if (!status.ok()) {
-    return WriteFailure(engine, before, status);
-  }
-  ServiceResponse response;
-  response.lines.push_back("declared " + a.ToString() + " = " + b.ToString());
-  return response;
-}
-
-ServiceResponse AssertBody(engine::Engine& engine,
-                           const ServiceCommand& command) {
-  const core::ObjectRef& first = command.first;
-  const core::ObjectRef& second = command.second;
-  Result<core::AssertionType> type =
-      core::AssertionTypeFromCode(command.type_code);
-  if (!type.ok()) {
-    return ErrorResponse(ErrorFromStatus(type.status()));
-  }
-  size_t before = engine.diagnostics().size();
-  Result<core::ConflictReport> report =
-      engine.AssertRelation(first, second, *type);
-  if (!report.ok()) {
-    return WriteFailure(engine, before, report.status());
-  }
-  ServiceResponse response;
-  response.lines.push_back("asserted " + first.ToString() + " " +
-                           std::to_string(command.type_code) + " " +
-                           second.ToString());
-  return response;
-}
-
 ServiceResponse ExportBody(engine::Engine& engine) {
   ServiceResponse response;
   response.lines = ToLines(engine.ExportProject());
@@ -358,6 +305,19 @@ void IntegrationService::RecordClosureMetrics(ProjectState& project,
       ->Set(project.engine.ClosureClusterCount());
 }
 
+template <typename Apply>
+void IntegrationService::ApplyRun(ProjectState& project, bool journaled,
+                                  Apply&& apply) {
+  const core::ClosureStats closure_before = project.engine.ClosureTotals();
+  apply();
+  RecordClosureMetrics(project, closure_before);
+  if (project.snapshots.Publish(project.engine)) {
+    snapshots_published_->Increment();
+  }
+  // After publish so the checkpoint captures the published stamp.
+  if (journaled) project.durability->MaybeCheckpoint(project.engine);
+}
+
 void IntegrationService::DegradeProject(ProjectState& project,
                                         const Status& cause) {
   project.degraded = true;
@@ -559,25 +519,19 @@ Result<engine::EngineStamp> IntegrationService::ApplyReplicated(
     // The follower journals the leader's record at the leader's seq, so a
     // restarted follower recovers locally and resubscribes from where the
     // stream left off.
-    Status logged = state->durability->LogVerb(verb);
+    Status logged = state->durability->LogRun({&verb, 1});
     if (!logged.ok()) {
       DegradeProject(*state, logged);
       return logged;
     }
   }
-  const core::ClosureStats closure_before = state->engine.ClosureTotals();
-  // Outcome ignored: the engine is deterministic, so a verb the leader
-  // rejected replays to the identical rejection here — and the leader
-  // journaled it regardless.
-  (void)engine::ApplyReplayVerb(state->engine, verb);
-  RecordClosureMetrics(*state, closure_before);
+  ApplyRun(*state, state->durability != nullptr, [&] {
+    // Outcome ignored: the engine is deterministic, so a verb the leader
+    // rejected replays to the identical rejection here — and the leader
+    // journaled it regardless.
+    (void)engine::ApplyReplayVerb(state->engine, verb);
+  });
   state->replica_applied_seq = seq;
-  if (state->snapshots.Publish(state->engine)) {
-    snapshots_published_->Increment();
-  }
-  if (state->durability != nullptr) {
-    state->durability->MaybeCheckpoint(state->engine);
-  }
   return state->engine.Stamp();
 }
 
@@ -606,23 +560,9 @@ Status IntegrationService::InstallReplicatedCheckpoint(
     epoch_gauge_->Set(static_cast<int64_t>(state->epoch));
   }
   // Build the replacement engine on the side so a bad checkpoint leaves
-  // the current state (and its published snapshot) untouched. This mirrors
-  // RecoveryManager::Open's checkpoint branch exactly.
-  ECRINT_ASSIGN_OR_RETURN(
-      core::Project parsed,
-      core::ParseProject(std::string(checkpoint.project_text)));
+  // the current state (and its published snapshot) untouched.
   engine::Engine fresh;
-  ECRINT_RETURN_IF_ERROR(fresh.ImportProject(std::move(parsed)));
-  if (checkpoint.integrated) {
-    Result<const core::IntegrationResult*> integrated =
-        fresh.Integrate(checkpoint.integrated_schemas);
-    if (!integrated.ok()) {
-      return InternalError("leader checkpoint claims a current integration "
-                           "but rebuilding it failed: " +
-                           integrated.status().message());
-    }
-  }
-  ECRINT_RETURN_IF_ERROR(fresh.AdoptReplayStamp(checkpoint.stamp));
+  ECRINT_RETURN_IF_ERROR(RestoreCheckpoint(checkpoint, fresh));
   state->engine = std::move(fresh);
   state->integrate_lines_version = -1;
   state->integrate_lines.clear();
@@ -707,59 +647,53 @@ std::optional<engine::ReplayVerb> ReplayVerbFor(const ServiceCommand& command) {
 
 }  // namespace
 
-ServiceResponse IntegrationService::IntegrateBody(
-    ProjectState& project, const std::vector<std::string>& schemas) {
+ServiceResponse IntegrationService::ApplyWrite(ProjectState& project,
+                                               const engine::ReplayVerb& verb) {
   engine::Engine& engine = project.engine;
-  size_t before = engine.diagnostics().size();
-  Result<const core::IntegrationResult*> result = engine.Integrate(schemas);
-  if (!result.ok()) {
-    return WriteFailure(engine, before, result.status());
+  const size_t diagnostics_before = engine.diagnostics().size();
+  Result<std::vector<std::string>> applied =
+      engine::ApplyReplayVerb(engine, verb);
+  if (!applied.ok()) {
+    return WriteFailure(engine, diagnostics_before, applied.status());
   }
-  // Rendering the outline + derived lines dominates a cache-hit integrate;
-  // the integration_version tags exactly the result object the lines were
-  // rendered from, so a version match reuses them verbatim.
-  int64_t version = engine.Stamp().integration_version;
   ServiceResponse response;
-  if (project.integrate_lines_version == version) {
-    response.lines = project.integrate_lines;
-    return response;
-  }
-  response.lines = ToLines(ecr::ToOutline((*result)->schema));
-  for (const core::DerivedAttributeInfo& info :
-       (*result)->derived_attributes) {
-    std::string line = "derived ";
-    line += info.owner;
-    line += ".";
-    line += info.name;
-    line += " <-";
-    for (const ecr::AttributePath& component : info.components) {
-      line += " ";
-      line += component.ToString();
+  switch (verb.kind) {
+    case engine::ReplayVerb::Kind::kDefine:
+      response.lines = *std::move(applied);
+      break;
+    case engine::ReplayVerb::Kind::kEquivalence:
+      response.lines.push_back("declared " + verb.first_path.ToString() +
+                               " = " + verb.second_path.ToString());
+      break;
+    case engine::ReplayVerb::Kind::kRelation:
+      response.lines.push_back("asserted " + verb.first.ToString() + " " +
+                               std::to_string(verb.type_code) + " " +
+                               verb.second.ToString());
+      break;
+    case engine::ReplayVerb::Kind::kIntegrate: {
+      // Rendering the outline + derived lines dominates a cache-hit
+      // integrate; the integration_version tags exactly the result object
+      // the lines were rendered from, so a version match reuses them.
+      const int64_t version = engine.Stamp().integration_version;
+      if (project.integrate_lines_version != version) {
+        const core::IntegrationResult& result = *engine.integration();
+        project.integrate_lines = ToLines(ecr::ToOutline(result.schema));
+        for (const core::DerivedAttributeInfo& info :
+             result.derived_attributes) {
+          std::string line = "derived " + info.owner + "." + info.name + " <-";
+          for (const ecr::AttributePath& component : info.components) {
+            line += " ";
+            line += component.ToString();
+          }
+          project.integrate_lines.push_back(std::move(line));
+        }
+        project.integrate_lines_version = version;
+      }
+      response.lines = project.integrate_lines;
+      break;
     }
-    response.lines.push_back(std::move(line));
   }
-  project.integrate_lines_version = version;
-  project.integrate_lines = response.lines;
   return response;
-}
-
-ServiceResponse IntegrationService::WriteCommandBody(
-    ProjectState& project, const ServiceCommand& command) {
-  switch (command.op) {
-    case ServiceCommand::Op::kDefine:
-      return DefineBody(project.engine, command);
-    case ServiceCommand::Op::kEquiv:
-      return EquivBody(project.engine, command);
-    case ServiceCommand::Op::kAssert:
-      return AssertBody(project.engine, command);
-    case ServiceCommand::Op::kIntegrate:
-      return IntegrateBody(project, command.schemas);
-    case ServiceCommand::Op::kExport:
-      return ExportBody(project.engine);
-    default:
-      return ErrorResponse(
-          {ServiceErrorCode::kBadRequest, "not a write command"});
-  }
 }
 
 ServiceResponse IntegrationService::ReadCommandBody(
@@ -956,19 +890,18 @@ void IntegrationService::RunWrites(ProjectState& project, int64_t deadline_ns,
       }
     }
   }
-  const core::ClosureStats closure_before = project.engine.ClosureTotals();
-  for (size_t k = begin; k < end; ++k) {
-    if (!out[k].error.has_value()) {
-      out[k] = WriteCommandBody(project, commands[k]);
+  // Apply in command order: each journaled record goes through
+  // engine::ApplyReplayVerb exactly as recovery and replicas replay it;
+  // an export reads the engine as the writes before it left it.
+  ApplyRun(project, logged, [&] {
+    size_t next_record = 0;
+    for (size_t k = begin; k < end; ++k) {
+      if (out[k].error.has_value()) continue;
+      out[k] = commands[k].op == ServiceCommand::Op::kExport
+                   ? ExportBody(project.engine)
+                   : ApplyWrite(project, records[next_record++]);
     }
-  }
-  RecordClosureMetrics(project, closure_before);
-  if (project.snapshots.Publish(project.engine)) {
-    snapshots_published_->Increment();
-  }
-  // After publish so the checkpoint captures the published stamp (publish
-  // materializes the equivalence map; replay mirrors that).
-  if (logged) project.durability->MaybeCheckpoint(project.engine);
+  });
 }
 
 std::shared_ptr<const EngineSnapshot> IntegrationService::CurrentSnapshot(

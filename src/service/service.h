@@ -403,11 +403,17 @@ class IntegrationService {
                  std::span<const ServiceCommand> commands, size_t begin,
                  size_t end, std::vector<ServiceResponse>& out);
 
-  // Verb bodies (caller holds write_mutex / owns the snapshot).
-  ServiceResponse IntegrateBody(ProjectState& project,
-                                const std::vector<std::string>& schemas);
-  ServiceResponse WriteCommandBody(ProjectState& project,
-                                   const ServiceCommand& command);
+  // The one write tail, shared by client write runs and the replication
+  // stream: `apply` feeds the run's journaled records through
+  // engine::ApplyReplayVerb, then closure metrics are recorded, the
+  // snapshot republished, and — when the run was journaled — a checkpoint
+  // offered. Caller holds write_mutex.
+  template <typename Apply>
+  void ApplyRun(ProjectState& project, bool journaled, Apply&& apply);
+  // Applies one journaled record of a client write run and renders its
+  // reply. Caller holds write_mutex.
+  ServiceResponse ApplyWrite(ProjectState& project,
+                             const engine::ReplayVerb& verb);
   ServiceResponse ReadCommandBody(const EngineSnapshot& snapshot,
                                   const ServiceCommand& command);
 

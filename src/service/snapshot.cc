@@ -58,7 +58,8 @@ Result<std::string> SnapshotIntegratedOutline(
 }
 
 std::shared_ptr<const EngineSnapshot> SnapshotManager::Current() const {
-  return current_.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(current_mutex_);
+  return current_;
 }
 
 int64_t SnapshotManager::generation() const {
@@ -72,8 +73,7 @@ bool SnapshotManager::Publish(engine::Engine& engine) {
   engine.Equivalence();
   engine::EngineStamp stamp = engine.Stamp();
 
-  std::shared_ptr<const EngineSnapshot> previous =
-      current_.load(std::memory_order_acquire);
+  std::shared_ptr<const EngineSnapshot> previous = Current();
   if (previous && previous->stamp == stamp) return false;
 
   auto next = std::make_shared<EngineSnapshot>();
@@ -105,7 +105,10 @@ bool SnapshotManager::Publish(engine::Engine& engine) {
   }
 
   next->generation = next_generation_.fetch_add(1, std::memory_order_relaxed);
-  current_.store(std::move(next), std::memory_order_release);
+  // `previous` keeps the replaced snapshot alive past the lock, so its
+  // destruction never runs inside the critical section.
+  std::lock_guard<std::mutex> lock(current_mutex_);
+  current_ = std::move(next);
   return true;
 }
 

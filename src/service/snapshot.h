@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -90,10 +91,13 @@ class SnapshotManager {
   int64_t generation() const;
 
  private:
-  // Readers hit Current() on every read verb from every connection; an
-  // atomic shared_ptr keeps that path mutex-free (the writer side is
-  // already serialized externally).
-  std::atomic<std::shared_ptr<const EngineSnapshot>> current_;
+  // Readers copy the pointer under a mutex held only for the refcount
+  // bump; the writer replaces it under the same mutex (writers are already
+  // serialized externally). A plain mutex is what ThreadSanitizer models:
+  // libstdc++'s lock-based std::atomic<std::shared_ptr> releases its lock
+  // bit with a relaxed store, which it reports as a race.
+  mutable std::mutex current_mutex_;
+  std::shared_ptr<const EngineSnapshot> current_;  // guarded by current_mutex_
   std::atomic<int64_t> next_generation_{1};
 };
 

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "common/strings.h"
+#include "core/project_io.h"
 
 namespace ecrint::service {
 
@@ -13,23 +14,6 @@ using Op = ServiceCommand::Op;
 
 std::string Usage(const Verb& verb) {
   return std::string("usage: ") + verb.usage;
-}
-
-Result<ecr::AttributePath> ParsePath(const std::string& token) {
-  std::vector<std::string> parts = Split(token, '.');
-  if (parts.size() != 3) {
-    return ParseError("expected schema.object.attribute, got '" + token +
-                      "'");
-  }
-  return ecr::AttributePath{parts[0], parts[1], parts[2]};
-}
-
-Result<core::ObjectRef> ParseRef(const std::string& token) {
-  std::vector<std::string> parts = Split(token, '.');
-  if (parts.size() != 2) {
-    return ParseError("expected schema.object, got '" + token + "'");
-  }
-  return core::ObjectRef{parts[0], parts[1]};
 }
 
 Result<double> ParseDouble(const std::string& token) {
@@ -57,9 +41,9 @@ std::string ParseDefine(const Verb& verb, const std::vector<std::string>& args,
 
 std::string ParseEquiv(const Verb&, const std::vector<std::string>& args,
                        ServiceCommand* out) {
-  Result<ecr::AttributePath> a = ParsePath(args[0]);
+  Result<ecr::AttributePath> a = core::ParsePath(args[0]);
   if (!a.ok()) return a.status().ToString();
-  Result<ecr::AttributePath> b = ParsePath(args[1]);
+  Result<ecr::AttributePath> b = core::ParsePath(args[1]);
   if (!b.ok()) return b.status().ToString();
   out->path_a = *a;
   out->path_b = *b;
@@ -68,11 +52,11 @@ std::string ParseEquiv(const Verb&, const std::vector<std::string>& args,
 
 std::string ParseAssert(const Verb&, const std::vector<std::string>& args,
                         ServiceCommand* out) {
-  Result<core::ObjectRef> first = ParseRef(args[0]);
+  Result<core::ObjectRef> first = core::ParseRef(args[0]);
   if (!first.ok()) return first.status().ToString();
   Result<int> code = ParseIntArg(args[1]);
   if (!code.ok()) return code.status().ToString();
-  Result<core::ObjectRef> second = ParseRef(args[2]);
+  Result<core::ObjectRef> second = core::ParseRef(args[2]);
   if (!second.ok()) return second.status().ToString();
   out->first = *first;
   out->type_code = *code;
@@ -123,7 +107,7 @@ std::string ParseTranslate(const Verb& verb,
     ++at;
   }
   if (at >= args.size()) return Usage(verb);
-  Result<core::ObjectRef> structure = ParseRef(args[at++]);
+  Result<core::ObjectRef> structure = core::ParseRef(args[at++]);
   if (!structure.ok()) return structure.status().ToString();
   out->request.structure = *structure;
   if (at < args.size()) {

@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -209,7 +211,9 @@ TEST(ProjectDirNameTest, EncodesHostileNames) {
 // The scripted mutation sequence the property tests journal: all four verb
 // kinds, including two the engine REJECTS (the WAL is written before the
 // engine runs, so rejected verbs are journaled too and must replay to the
-// same rejection).
+// same rejection), and two back-to-back defines — in one batch frame the
+// second runs before any verb materializes the equivalence map the first
+// one reset.
 std::vector<engine::ReplayVerb> ScriptVerbs() {
   std::vector<engine::ReplayVerb> verbs;
   verbs.push_back(engine::DefineVerb(kUniversityDdl));
@@ -228,25 +232,35 @@ std::vector<engine::ReplayVerb> ScriptVerbs() {
   verbs.push_back(engine::EquivalenceVerb({"sc1", "Student", "Name"},
                                           {"sc3", "Alum", "Name"}));
   verbs.push_back(engine::IntegrateVerb({}));
+  verbs.push_back(
+      engine::DefineVerb("schema sc4 { entity Staff { Name: char key; } }"));
+  verbs.push_back(
+      engine::DefineVerb("schema sc5 { entity Clerk { Name: char key; } }"));
+  verbs.push_back(engine::EquivalenceVerb({"sc4", "Staff", "Name"},
+                                          {"sc5", "Clerk", "Name"}));
   return verbs;
 }
 
-// Routes a ReplayVerb through the real service entry point for its kind.
-ServiceResponse Drive(IntegrationService& service, const std::string& session,
-                      const engine::ReplayVerb& verb) {
+// The client command a journaled verb arrives as.
+ServiceCommand CommandFor(const engine::ReplayVerb& verb) {
   switch (verb.kind) {
     case engine::ReplayVerb::Kind::kDefine:
-      return service.Execute(session, DefineCmd(verb.ddl));
+      return DefineCmd(verb.ddl);
     case engine::ReplayVerb::Kind::kEquivalence:
-      return service.Execute(session,
-                             EquivCmd(verb.first_path, verb.second_path));
+      return EquivCmd(verb.first_path, verb.second_path);
     case engine::ReplayVerb::Kind::kRelation:
-      return service.Execute(
-          session, AssertCmd(verb.first, verb.type_code, verb.second));
+      return AssertCmd(verb.first, verb.type_code, verb.second);
     case engine::ReplayVerb::Kind::kIntegrate:
-      return service.Execute(session, IntegrateCmd(verb.schemas));
+      return IntegrateCmd(verb.schemas);
   }
   return {};
+}
+
+// Routes a ReplayVerb through the real service entry point as a lone
+// request.
+ServiceResponse Drive(IntegrationService& service, const std::string& session,
+                      const engine::ReplayVerb& verb) {
+  return service.Execute(session, CommandFor(verb));
 }
 
 struct ReferenceState {
@@ -273,21 +287,40 @@ constexpr const char* kProjectDir = "data/uni";
 constexpr const char* kJournalPath = "data/uni/journal.wal";
 constexpr const char* kCheckpointPath = "data/uni/checkpoint.ecr";
 
-// Drives the script through a durable service over `fs` and returns the
-// per-verb responses.
-std::vector<ServiceResponse> RunScript(common::Fs* fs,
-                                       int checkpoint_interval) {
+struct ScriptRun {
+  std::vector<ServiceResponse> responses;  // one per verb
+  engine::EngineStamp live_stamp;          // the service's stamp at the end
+};
+
+// Drives the script through a durable service over `fs`. `frame` > 1 sends
+// the verbs as batch frames of that many items (the last one shorter);
+// otherwise each verb is a lone request.
+ScriptRun RunScript(common::Fs* fs, int checkpoint_interval,
+                    size_t frame = 1) {
   ServiceConfig config;
   config.data_dir = "data";
   config.fs = fs;
   config.durability.checkpoint_interval_records = checkpoint_interval;
   IntegrationService service(config);
   std::string session = service.OpenSession("uni");
-  std::vector<ServiceResponse> responses;
+  std::vector<ServiceCommand> commands;
   for (const engine::ReplayVerb& verb : ScriptVerbs()) {
-    responses.push_back(Drive(service, session, verb));
+    commands.push_back(CommandFor(verb));
   }
-  return responses;
+  ScriptRun run;
+  for (size_t begin = 0; begin < commands.size(); begin += frame) {
+    std::span<const ServiceCommand> items(
+        commands.data() + begin, std::min(frame, commands.size() - begin));
+    for (ServiceResponse& response :
+         service.Execute(session, items, nullptr, /*batch_frame=*/frame > 1)) {
+      run.responses.push_back(std::move(response));
+    }
+  }
+  Result<IntegrationService::ReplicationPosition> position =
+      service.SampleReplicationPosition("uni");
+  EXPECT_TRUE(position.ok()) << position.status().ToString();
+  if (position.ok()) run.live_stamp = position->stamp;
+  return run;
 }
 
 // --- the tentpole property test --------------------------------------------
@@ -300,7 +333,7 @@ std::vector<ServiceResponse> RunScript(common::Fs* fs,
 TEST(RecoveryPropertyTest, CrashAtEveryByteMatchesSerialReplay) {
   common::MemFs fs;
   std::vector<ServiceResponse> responses =
-      RunScript(&fs, /*checkpoint_interval=*/0);
+      RunScript(&fs, /*checkpoint_interval=*/0).responses;
   // The script's two poisoned verbs really were rejected (and journaled).
   EXPECT_TRUE(responses[0].ok());
   EXPECT_FALSE(responses[1].ok());
@@ -392,6 +425,45 @@ TEST(RecoveryPropertyTest, CrashAtEveryByteWithCheckpoint) {
     EXPECT_TRUE(engine.Stamp() == reference.stamp) << "cut at " << cut;
     EXPECT_EQ(engine.ExportProject(), reference.exported)
         << "cut at " << cut;
+  }
+}
+
+// Replay == live for batch frames: however the script is cut into frames
+// (one frame, runs of 2, runs of 3), the service ends Stamp()-identical to
+// a serial replay of the script and to what recovery rebuilds from its
+// journal, and every item gets the reply its lone request gets.
+TEST(RecoveryPropertyTest, BatchFramesMatchSerialReplay) {
+  const std::vector<engine::ReplayVerb> verbs = ScriptVerbs();
+  const ReferenceState reference = SerialReplay(verbs, verbs.size());
+  common::MemFs lone_fs;
+  const ScriptRun lone = RunScript(&lone_fs, /*checkpoint_interval=*/0);
+  EXPECT_TRUE(lone.live_stamp == reference.stamp);
+
+  for (size_t frame : {verbs.size(), size_t{2}, size_t{3}}) {
+    common::MemFs fs;
+    const ScriptRun run = RunScript(&fs, /*checkpoint_interval=*/0, frame);
+    EXPECT_TRUE(run.live_stamp == reference.stamp) << "frame " << frame;
+    ASSERT_EQ(run.responses.size(), lone.responses.size());
+    for (size_t i = 0; i < run.responses.size(); ++i) {
+      EXPECT_EQ(run.responses[i].ok(), lone.responses[i].ok())
+          << "frame " << frame << " verb " << i;
+      EXPECT_EQ(run.responses[i].lines, lone.responses[i].lines)
+          << "frame " << frame << " verb " << i;
+      if (!run.responses[i].ok() && !lone.responses[i].ok()) {
+        EXPECT_EQ(run.responses[i].error->message,
+                  lone.responses[i].error->message)
+            << "frame " << frame << " verb " << i;
+      }
+    }
+
+    engine::Engine engine;
+    auto manager = RecoveryManager::Open(&fs, kProjectDir, DurabilityOptions{},
+                                         engine, /*stats=*/nullptr,
+                                         /*metrics=*/nullptr);
+    ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+    EXPECT_TRUE(engine.Stamp() == run.live_stamp) << "frame " << frame;
+    EXPECT_EQ(engine.ExportProject(), reference.exported)
+        << "frame " << frame;
   }
 }
 

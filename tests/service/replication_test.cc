@@ -416,6 +416,46 @@ TEST(ReplicationTest, ThousandWritesConvergeStampIdentical) {
   EXPECT_EQ(StampOf(*leader.service, "uni"), StampOf(*follower.service, "uni"));
 }
 
+// A batch frame applies each journaled record exactly as the follower
+// replays it: two back-to-back defines then an equivalence, in one frame,
+// leave leader and follower stamp-identical, with no divergence reset.
+TEST(ReplicationTest, BatchFrameConvergesWithoutDivergence) {
+  common::MemFs fs;
+  Node leader(&fs, "/lead");
+  std::string session = leader.service->OpenSession("uni");
+
+  ReplicationServer::Options fast;
+  fast.poll_interval_ms = 1;
+  ReplicationServer server(leader.service.get(), &fs, "/lead", fast);
+  Node follower(&fs);
+  FollowerState state(follower.service.get(), "uni");
+  ASSERT_TRUE(state.Prepare().ok());
+  Subscription subscription(&server, "uni", 0);
+
+  const std::vector<ServiceCommand> batch = {
+      DefineCmd("schema sc1 { entity Student { Name: char key; } }"),
+      DefineCmd("schema sc2 { entity Grad { Name: char key; } }"),
+      EquivCmd({"sc1", "Student", "Name"}, {"sc2", "Grad", "Name"})};
+  for (const ServiceResponse& response :
+       leader.service->Execute(session, batch, nullptr, /*batch_frame=*/true)) {
+    ASSERT_TRUE(response.ok()) << response.error->message;
+  }
+
+  EXPECT_TRUE(PumpUntilConverged(subscription.sink(), state, *leader.service,
+                                 *follower.service, "uni"));
+  EXPECT_EQ(state.applied_seq(), 3u);
+  EXPECT_EQ(StampOf(*leader.service, "uni"), StampOf(*follower.service, "uni"));
+  // Let the leader's stamp frame for seq 3 arrive and be checked.
+  std::string frame;
+  while (subscription.sink().Pop(&frame, 200)) {
+    Result<FollowerState::Outcome> outcome = state.HandleFrame(Body(frame));
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(*outcome, FollowerState::Outcome::kOk);
+  }
+  EXPECT_EQ(
+      follower.service->metrics().GetCounter("repl.divergences")->value(), 0);
+}
+
 TEST(ReplicationTest, StreamCutMidStreamResubscribesFromAppliedSeq) {
   common::MemFs fs;
   Node leader(&fs, "/lead");
