@@ -407,12 +407,9 @@ Result<ConflictReport> AssertionStore::Constrain(const ObjectRef& first,
   return ok;
 }
 
-RelationSet AssertionStore::PossibleRelations(const ObjectRef& first,
-                                              const ObjectRef& second) const {
-  auto it = index_.find(first);
-  auto jt = index_.find(second);
-  if (it == index_.end() || jt == index_.end()) return kAnyRelation;
-  return rel_[Cell(it->second, jt->second)];
+int AssertionStore::IdOf(const ObjectRef& ref) const {
+  auto it = index_.find(ref);
+  return it == index_.end() ? -1 : it->second;
 }
 
 Result<SetRelation> AssertionStore::EstablishedRelation(
@@ -426,19 +423,16 @@ Result<SetRelation> AssertionStore::EstablishedRelation(
   return TheRelation(possible);
 }
 
-bool AssertionStore::IsIntegrating(const ObjectRef& first,
-                                   const ObjectRef& second) const {
-  auto it = index_.find(first);
-  auto jt = index_.find(second);
-  if (it == index_.end() || jt == index_.end()) return false;
-  int32_t direct = direct_[NormCell(it->second, jt->second)];
+bool AssertionStore::IsIntegrating(int first, int second) const {
+  if (first < 0 || second < 0) return false;
+  int32_t direct = direct_[NormCell(first, second)];
   if (direct >= 0) {
     return core::IsIntegrating(user_assertions_[direct].type);
   }
   // Derived-only: integrate when pinned to a non-disjoint relation. A
   // derived disjointness never connects a cluster (nobody asked for a
   // generalization over the pair).
-  RelationSet possible = rel_[Cell(it->second, jt->second)];
+  RelationSet possible = rel_[Cell(first, second)];
   return RelationCount(possible) == 1 &&
          TheRelation(possible) != SetRelation::kDisjoint;
 }

@@ -95,6 +95,10 @@ class AssertionStore {
   int AddObject(const ObjectRef& ref);
 
   bool Knows(const ObjectRef& ref) const { return index_.count(ref) > 0; }
+  // Dense id of a registered structure, or -1 when the store does not know
+  // it. Callers that read many pairs map their refs once and use the
+  // id-keyed lookups below.
+  int IdOf(const ObjectRef& ref) const;
   int num_objects() const { return static_cast<int>(objects_.size()); }
   const std::vector<ObjectRef>& objects() const { return objects_; }
 
@@ -128,9 +132,15 @@ class AssertionStore {
                                    const ObjectRef& second,
                                    RelationSet allowed);
 
-  // The still-possible relations for a pair (kAnyRelation if unknown).
+  // The still-possible relations for a pair (kAnyRelation if unknown, i.e.
+  // either id is -1).
+  RelationSet PossibleRelations(int first, int second) const {
+    return first < 0 || second < 0 ? kAnyRelation : rel_[Cell(first, second)];
+  }
   RelationSet PossibleRelations(const ObjectRef& first,
-                                const ObjectRef& second) const;
+                                const ObjectRef& second) const {
+    return PossibleRelations(IdOf(first), IdOf(second));
+  }
 
   // The single established relation if the pair is pinned down (either
   // asserted or derived); nullopt-like via Result: kNotFound when ambiguous.
@@ -141,8 +151,11 @@ class AssertionStore {
   // user-asserted integrating assertion and for derived non-disjoint
   // relations; false for disjoint-nonintegrable and for pairs whose only
   // established relation is a *derived* disjointness (the DDA never asked
-  // to generalize them).
-  bool IsIntegrating(const ObjectRef& first, const ObjectRef& second) const;
+  // to generalize them). False when either id is -1.
+  bool IsIntegrating(int first, int second) const;
+  bool IsIntegrating(const ObjectRef& first, const ObjectRef& second) const {
+    return IsIntegrating(IdOf(first), IdOf(second));
+  }
 
   // All user assertions, in entry order.
   const std::vector<Assertion>& user_assertions() const {

@@ -79,7 +79,8 @@ std::string AssertionHint::ToString() const {
                     ", possible object relations " +
                     RelationSetToString(bound) + ", menu codes";
   for (AssertionType type : compatible) {
-    out += " " + std::to_string(AssertionTypeCode(type));
+    out += ' ';
+    out += std::to_string(AssertionTypeCode(type));
   }
   return out;
 }

@@ -9,6 +9,8 @@ namespace ecrint::core {
 std::vector<Cluster> BuildClusters(const AssertionStore& store,
                                    const std::vector<ObjectRef>& universe) {
   int n = static_cast<int>(universe.size());
+  std::vector<int> id(n);
+  for (int i = 0; i < n; ++i) id[i] = store.IdOf(universe[i]);
   std::vector<int> parent(n);
   std::iota(parent.begin(), parent.end(), 0);
   auto find = [&](int x) {
@@ -21,7 +23,7 @@ std::vector<Cluster> BuildClusters(const AssertionStore& store,
 
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n; ++j) {
-      if (store.IsIntegrating(universe[i], universe[j])) {
+      if (store.IsIntegrating(id[i], id[j])) {
         parent[find(i)] = find(j);
       }
     }

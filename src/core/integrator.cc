@@ -1,6 +1,8 @@
 #include "core/integrator.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <numeric>
 #include <set>
@@ -17,86 +19,105 @@ namespace {
 // Lattice construction shared by object-class and relationship integration.
 // ---------------------------------------------------------------------------
 
+// Length of the name fragments in generated names (D_Stud_Facu uses 4).
+constexpr int kFragmentLength = 4;
+
 // One node of the integrated lattice: an EQ-merged group of component
 // structures, or a D_-derived generalization introduced for an overlap /
 // disjoint-integrable pair.
 struct Node {
-  std::vector<ObjectRef> sources;  // empty for derived nodes
+  std::vector<int> members;  // universe positions; empty for derived nodes
   std::string name;
   ecr::ObjectOrigin origin = ecr::ObjectOrigin::kComponent;
   std::set<int> parents;  // full (pre-reduction) edge set, child -> parent
   std::vector<ecr::Attribute> attributes;  // filled by placement
 };
 
-struct Lattice {
-  std::vector<Node> nodes;
-  std::map<ObjectRef, int> node_of;
+// Reachability facts of one node set, filled by a single DFS over the parent
+// edges: ancestors-or-self as one bitset row per node, depth (longest path
+// to a root; deeper nodes are more specific), and a topological order
+// (parents before children, stable by node index).
+struct Ancestry {
+  int words = 0;
+  std::vector<uint64_t> rows;
+  std::vector<int> depth;
+  std::vector<int> order;
 
-  // Ancestors-or-self of `node` over the full parent edge set.
-  std::set<int> AncestorsOrSelf(int node) const {
-    std::set<int> out;
-    std::vector<int> stack = {node};
-    while (!stack.empty()) {
-      int id = stack.back();
-      stack.pop_back();
-      if (!out.insert(id).second) continue;
-      for (int parent : nodes[id].parents) stack.push_back(parent);
-    }
-    return out;
+  const uint64_t* Row(int node) const {
+    return &rows[static_cast<size_t>(node) * words];
   }
 
-  // Depth = longest path to a root; deeper nodes are more specific.
-  int Depth(int node) const {
-    int best = 0;
-    for (int parent : nodes[node].parents) {
-      best = std::max(best, Depth(parent) + 1);
-    }
-    return best;
+  bool IsAncestorOrSelf(int node, int ancestor) const {
+    return (Row(node)[ancestor >> 6] >> (ancestor & 63)) & 1;
   }
 
   // The most specific node that is an ancestor-or-self of every node in
-  // `owners`, or -1 when none exists.
-  int Placement(const std::set<int>& owners) const {
+  // `owners`, or -1 when none exists. Owners are ancestors of each other only
+  // when one generalizes all; the deepest common ancestor is the most
+  // specific placement. Ties break to the lowest node index.
+  int Placement(const std::vector<int>& owners) const {
     if (owners.empty()) return -1;
-    auto it = owners.begin();
-    std::set<int> common = AncestorsOrSelf(*it);
-    for (++it; it != owners.end(); ++it) {
-      std::set<int> next = AncestorsOrSelf(*it);
-      std::set<int> kept;
-      std::set_intersection(common.begin(), common.end(), next.begin(),
-                            next.end(), std::inserter(kept, kept.begin()));
-      common = std::move(kept);
-      if (common.empty()) return -1;
+    std::vector<uint64_t> common(Row(owners.front()),
+                                 Row(owners.front()) + words);
+    for (int owner : owners) {
+      for (int w = 0; w < words; ++w) common[w] &= Row(owner)[w];
     }
-    // Owners are ancestors of each other only when one generalizes all; the
-    // deepest common ancestor is the most specific placement. Ties break to
-    // the lowest node index for determinism.
     int best = -1;
-    int best_depth = -1;
-    for (int candidate : common) {
-      int depth = Depth(candidate);
-      if (depth > best_depth) {
-        best = candidate;
-        best_depth = depth;
+    for (int w = 0; w < words; ++w) {
+      for (uint64_t bits = common[w]; bits != 0; bits &= bits - 1) {
+        int candidate = w * 64 + std::countr_zero(bits);
+        if (best < 0 || depth[candidate] > depth[best]) best = candidate;
       }
     }
     return best;
   }
-
-  // Most specific common ancestor-or-self of two nodes, or -1.
-  int CommonAncestor(int a, int b) const { return Placement({a, b}); }
-
-  // True if `ancestor` is reachable from `node` (or equal).
-  bool IsAncestorOrSelf(int node, int ancestor) const {
-    return AncestorsOrSelf(node).count(ancestor) > 0;
-  }
 };
 
-std::string Fragment(const std::string& name, int length) {
+Result<Ancestry> ComputeAncestry(const std::vector<Node>& nodes) {
+  int n = static_cast<int>(nodes.size());
+  Ancestry out;
+  out.words = (n + 63) / 64;
+  out.rows.assign(static_cast<size_t>(n) * out.words, 0);
+  out.depth.assign(n, 0);
+  out.order.reserve(n);
+  std::vector<char> state(n, 0);  // 0 unseen, 1 on the DFS path, 2 done
+  auto visit = [&](auto&& self, int node) -> bool {
+    state[node] = 1;
+    uint64_t* row = &out.rows[static_cast<size_t>(node) * out.words];
+    row[node >> 6] |= uint64_t{1} << (node & 63);
+    for (int parent : nodes[node].parents) {
+      if (state[parent] == 1) return false;
+      if (state[parent] == 0 && !self(self, parent)) return false;
+      const uint64_t* above = out.Row(parent);
+      for (int w = 0; w < out.words; ++w) row[w] |= above[w];
+      out.depth[node] = std::max(out.depth[node], out.depth[parent] + 1);
+    }
+    state[node] = 2;
+    out.order.push_back(node);
+    return true;
+  };
+  for (int i = 0; i < n; ++i) {
+    if (state[i] == 0 && !visit(visit, i)) {
+      // The closure guarantees consistency, so this means a bug upstream.
+      return InternalError("integration lattice acquired a cycle; "
+                           "assertions and schema structure disagree");
+    }
+  }
+  return out;
+}
+
+struct Lattice {
+  std::vector<ObjectRef> universe;  // component structures, in order
+  std::vector<int> node_of;         // universe position -> node
+  std::vector<Node> nodes;
+  Ancestry ancestry;  // of the finished node set, D_ nodes included
+};
+
+std::string Fragment(const std::string& name) {
   std::string_view base = name;
   // Strip integration prefixes so D_(E_Student) reads D_Stud... not D_E_St.
   if (StartsWith(base, "E_") || StartsWith(base, "D_")) base.remove_prefix(2);
-  return std::string(base.substr(0, static_cast<size_t>(length)));
+  return std::string(base.substr(0, kFragmentLength));
 }
 
 // Reserves a name, appending _2, _3, ... on collision.
@@ -112,15 +133,25 @@ std::string UniqueName(const std::string& candidate,
 
 // Builds the EQ-merged node set, subset edges and derived generalizations
 // for one structure kind. `universe` lists the component structures in
-// deterministic order.
-Result<Lattice> BuildLattice(const std::vector<ObjectRef>& universe,
+// deterministic order; each is mapped to its store id once, and one scan
+// over the pairs by id classifies them all.
+Result<Lattice> BuildLattice(std::vector<ObjectRef> universe,
                              const AssertionStore& store,
-                             const IntegrationOptions& options,
                              std::set<std::string>& used_names) {
   Lattice lattice;
-  int n = static_cast<int>(universe.size());
+  lattice.universe = std::move(universe);
+  const std::vector<ObjectRef>& refs = lattice.universe;
+  int n = static_cast<int>(refs.size());
+  std::vector<int> id(n);
+  std::vector<int> position(store.num_objects(), -1);
+  for (int i = 0; i < n; ++i) {
+    id[i] = store.IdOf(refs[i]);
+    if (id[i] >= 0) position[id[i]] = i;
+  }
 
-  // Union-find over "equals" pairs.
+  // Union-find over "equals" pairs; subset and overlap pairs are kept as
+  // universe positions until the nodes exist. The mirror cell is always the
+  // converse, so the i<j half covers both subset directions.
   std::vector<int> parent(n);
   std::iota(parent.begin(), parent.end(), 0);
   auto find = [&](int x) {
@@ -130,172 +161,124 @@ Result<Lattice> BuildLattice(const std::vector<ObjectRef>& universe,
     }
     return x;
   };
-  auto relation = [&](int i, int j) -> RelationSet {
-    return store.PossibleRelations(universe[i], universe[j]);
-  };
+  std::vector<std::pair<int, int>> subsets;  // (child, parent)
+  std::vector<std::pair<int, int>> generalize;
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n; ++j) {
-      RelationSet r = relation(i, j);
-      if (RelationCount(r) == 1 && TheRelation(r) == SetRelation::kEqual) {
-        parent[std::max(find(i), find(j))] = std::min(find(i), find(j));
+      RelationSet r = store.PossibleRelations(id[i], id[j]);
+      if (RelationCount(r) != 1) continue;
+      switch (TheRelation(r)) {
+        case SetRelation::kEqual:
+          parent[std::max(find(i), find(j))] = std::min(find(i), find(j));
+          break;
+        case SetRelation::kSubset:
+          subsets.push_back({i, j});
+          break;
+        case SetRelation::kSuperset:
+          subsets.push_back({j, i});
+          break;
+        case SetRelation::kOverlap:
+          generalize.push_back({i, j});
+          break;
+        case SetRelation::kDisjoint:
+          break;
       }
+    }
+  }
+  // Any user disjoint-integrable assertion on a pair asks for a D_ node, in
+  // either order and whatever was asserted on the pair after it. Assert
+  // registers both operands, so their ids exist.
+  for (const Assertion& a : store.user_assertions()) {
+    if (a.type != AssertionType::kDisjointIntegrable) continue;
+    int first = store.IdOf(a.first);
+    int second = store.IdOf(a.second);
+    if (position[first] >= 0 && position[second] >= 0) {
+      generalize.push_back({position[first], position[second]});
     }
   }
 
   // Nodes in order of first member occurrence.
-  std::map<int, int> root_to_node;
+  std::vector<int> node_of_root(n, -1);
+  lattice.node_of.resize(n);
   for (int i = 0; i < n; ++i) {
-    int root = find(i);
-    auto [it, inserted] =
-        root_to_node.emplace(root, static_cast<int>(lattice.nodes.size()));
-    if (inserted) lattice.nodes.emplace_back();
-    lattice.nodes[it->second].sources.push_back(universe[i]);
-    lattice.node_of[universe[i]] = it->second;
-  }
-
-  // Subset edges between distinct nodes.
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      if (i == j) continue;
-      RelationSet r = relation(i, j);
-      if (RelationCount(r) == 1 && TheRelation(r) == SetRelation::kSubset) {
-        int child = lattice.node_of[universe[i]];
-        int parent_node = lattice.node_of[universe[j]];
-        if (child != parent_node) {
-          lattice.nodes[child].parents.insert(parent_node);
-        }
-      }
+    int& node = node_of_root[find(i)];
+    if (node < 0) {
+      node = static_cast<int>(lattice.nodes.size());
+      lattice.nodes.emplace_back();
     }
+    lattice.nodes[node].members.push_back(i);
+    lattice.node_of[i] = node;
   }
-
-  // Derived generalizations: one per node pair connected by an established
-  // overlap or a user-asserted disjoint-integrable assertion. Pre-index the
-  // disjoint-integrable assertions so the pair loop does a set probe instead
-  // of scanning every user assertion per pair (O(n²·|assertions|) before).
-  std::set<std::pair<ObjectRef, ObjectRef>> disjoint_integrable_pairs;
-  for (const Assertion& a : store.user_assertions()) {
-    if (a.type != AssertionType::kDisjointIntegrable) continue;
-    disjoint_integrable_pairs.insert({a.first, a.second});
-    disjoint_integrable_pairs.insert({a.second, a.first});
+  for (const auto& [i, j] : subsets) {
+    int child = lattice.node_of[i];
+    int parent_node = lattice.node_of[j];
+    if (child != parent_node) lattice.nodes[child].parents.insert(parent_node);
   }
   std::set<std::pair<int, int>> derived_pairs;
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      RelationSet r = relation(i, j);
-      bool overlap = RelationCount(r) == 1 &&
-                     TheRelation(r) == SetRelation::kOverlap;
-      bool disjoint_integrable =
-          !overlap && disjoint_integrable_pairs.count(
-                          {universe[i], universe[j]}) > 0;
-      if (!overlap && !disjoint_integrable) continue;
-      int a = lattice.node_of[universe[i]];
-      int b = lattice.node_of[universe[j]];
-      if (a == b) continue;
-      derived_pairs.insert({std::min(a, b), std::max(a, b)});
-    }
+  for (const auto& [i, j] : generalize) {
+    int a = lattice.node_of[i];
+    int b = lattice.node_of[j];
+    if (a != b) derived_pairs.insert({std::min(a, b), std::max(a, b)});
   }
 
   // Name base nodes before derived ones (derived names reference them).
   for (Node& node : lattice.nodes) {
-    bool all_same = true;
-    for (const ObjectRef& ref : node.sources) {
-      all_same &= ref.object == node.sources.front().object;
-    }
-    if (node.sources.size() == 1) {
+    const ObjectRef& front = refs[node.members.front()];
+    if (node.members.size() == 1) {
       node.origin = ecr::ObjectOrigin::kComponent;
-      const ObjectRef& ref = node.sources.front();
-      if (!used_names.count(ref.object)) {
-        node.name = ref.object;
+      if (!used_names.count(front.object)) {
+        node.name = front.object;
         used_names.insert(node.name);
       } else {
-        node.name = UniqueName(ref.schema + "_" + ref.object, used_names);
+        node.name = UniqueName(front.schema + "_" + front.object, used_names);
       }
     } else {
       node.origin = ecr::ObjectOrigin::kEquivalent;
+      bool all_same = true;
+      for (int m : node.members) all_same &= refs[m].object == front.object;
       std::string candidate;
       if (all_same) {
-        candidate = "E_" + node.sources.front().object;
+        candidate = "E_" + front.object;
       } else {
         candidate = "E";
-        for (const ObjectRef& ref : node.sources) {
-          candidate += "_" + Fragment(ref.object, options.name_prefix_length);
+        for (int m : node.members) {
+          candidate += "_" + Fragment(refs[m].object);
         }
       }
       node.name = UniqueName(candidate, used_names);
     }
   }
 
+  // D_ nodes are fresh roots, so adding one never changes reachability
+  // between base nodes: the base ancestry answers every skip check below.
+  ECRINT_ASSIGN_OR_RETURN(Ancestry base, ComputeAncestry(lattice.nodes));
   for (const auto& [a, b] : derived_pairs) {
     // Skip when one side already generalizes the other through other edges
     // (e.g. overlap later subsumed by an equals chain elsewhere).
-    if (lattice.IsAncestorOrSelf(a, b) || lattice.IsAncestorOrSelf(b, a)) {
-      continue;
-    }
+    if (base.IsAncestorOrSelf(a, b) || base.IsAncestorOrSelf(b, a)) continue;
     Node derived;
     derived.origin = ecr::ObjectOrigin::kDerived;
-    derived.name = UniqueName(
-        "D_" + Fragment(lattice.nodes[a].name, options.name_prefix_length) +
-            "_" + Fragment(lattice.nodes[b].name, options.name_prefix_length),
-        used_names);
-    int id = static_cast<int>(lattice.nodes.size());
+    derived.name = UniqueName("D_" + Fragment(lattice.nodes[a].name) + "_" +
+                                  Fragment(lattice.nodes[b].name),
+                              used_names);
+    int node = static_cast<int>(lattice.nodes.size());
     lattice.nodes.push_back(std::move(derived));
-    lattice.nodes[a].parents.insert(id);
-    lattice.nodes[b].parents.insert(id);
+    lattice.nodes[a].parents.insert(node);
+    lattice.nodes[b].parents.insert(node);
   }
-
-  // The closure guarantees consistency, so the edge set must be acyclic.
-  std::vector<int> color(lattice.nodes.size(), 0);
-  auto dfs = [&](auto&& self, int node) -> bool {
-    color[node] = 1;
-    for (int p : lattice.nodes[node].parents) {
-      if (color[p] == 1) return false;
-      if (color[p] == 0 && !self(self, p)) return false;
-    }
-    color[node] = 2;
-    return true;
-  };
-  for (size_t i = 0; i < lattice.nodes.size(); ++i) {
-    if (color[i] == 0 && !dfs(dfs, static_cast<int>(i))) {
-      return InternalError("integration lattice acquired a cycle; "
-                           "assertions and schema structure disagree");
-    }
-  }
+  ECRINT_ASSIGN_OR_RETURN(lattice.ancestry, ComputeAncestry(lattice.nodes));
   return lattice;
 }
 
-// Topological order, parents before children, stable by node index.
-std::vector<int> TopoOrder(const Lattice& lattice) {
-  int n = static_cast<int>(lattice.nodes.size());
-  std::vector<int> out;
-  out.reserve(n);
-  std::vector<char> done(n, 0);
-  auto visit = [&](auto&& self, int node) -> void {
-    if (done[node]) return;
-    done[node] = 1;
-    for (int parent : lattice.nodes[node].parents) self(self, parent);
-    out.push_back(node);
-  };
-  for (int i = 0; i < n; ++i) visit(visit, i);
-  return out;
-}
-
-// Direct parents after transitive reduction.
-std::vector<int> DirectParents(const Lattice& lattice, int node,
-                               bool reduce) {
-  std::vector<int> parents(lattice.nodes[node].parents.begin(),
-                           lattice.nodes[node].parents.end());
-  if (!reduce) return parents;
+// Direct parents after transitive reduction: a parent reachable from
+// another parent is implied and dropped.
+std::vector<int> DirectParents(const Lattice& lattice, int node) {
+  const std::set<int>& parents = lattice.nodes[node].parents;
   std::vector<int> out;
   for (int p : parents) {
-    bool implied = false;
-    for (int q : parents) {
-      if (q == p) continue;
-      // p implied when reachable from another parent q.
-      if (lattice.IsAncestorOrSelf(q, p)) {
-        implied = true;
-        break;
-      }
-    }
+    bool implied = std::any_of(parents.begin(), parents.end(), [&](int q) {
+      return q != p && lattice.ancestry.IsAncestorOrSelf(q, p);
+    });
     if (!implied) out.push_back(p);
   }
   return out;
@@ -345,8 +328,8 @@ struct SourceAttribute {
 
 // Derived-attribute name from its component names: D_<name> when all agree,
 // D_<frag>_<frag>... otherwise.
-std::string DerivedAttributeName(const std::vector<SourceAttribute*>& members,
-                                 int fragment_length) {
+std::string DerivedAttributeName(
+    const std::vector<SourceAttribute*>& members) {
   std::vector<std::string> names;
   for (const SourceAttribute* m : members) {
     if (std::find(names.begin(), names.end(), m->attribute.name) ==
@@ -357,7 +340,7 @@ std::string DerivedAttributeName(const std::vector<SourceAttribute*>& members,
   if (names.size() == 1) return "D_" + names.front();
   std::string out = "D";
   for (const std::string& name : names) {
-    out += "_" + Fragment(name, fragment_length);
+    out += "_" + Fragment(name);
   }
   return out;
 }
@@ -367,7 +350,7 @@ std::string DerivedAttributeName(const std::vector<SourceAttribute*>& members,
 // per-source-attribute targets used by the mappings.
 void PlaceAttributes(
     Lattice& lattice, std::vector<SourceAttribute>& attributes,
-    const EquivalenceMap& equivalence, const IntegrationOptions& options,
+    const EquivalenceMap& equivalence,
     std::vector<DerivedAttributeInfo>& derived_out,
     std::map<ecr::AttributePath, AttributeMapping>& target_out) {
   // Group source attributes by equivalence class.
@@ -386,13 +369,13 @@ void PlaceAttributes(
       if (it != by_path.end()) members.push_back(it->second);
     }
     if (members.size() < 2) continue;  // class does not span this lattice
-    std::set<int> owners;
-    for (SourceAttribute* m : members) owners.insert(m->node);
-    int placement = lattice.Placement(owners);
+    std::vector<int> owners;
+    for (SourceAttribute* m : members) owners.push_back(m->node);
+    int placement = lattice.ancestry.Placement(owners);
     if (placement < 0) continue;  // no common generalization; copy as-is
 
     ecr::Attribute merged;
-    merged.name = DerivedAttributeName(members, options.name_prefix_length);
+    merged.name = DerivedAttributeName(members);
     merged.domain = members.front()->attribute.domain;
     merged.is_key = true;
     for (SourceAttribute* m : members) {
@@ -449,25 +432,10 @@ int MergedMax(int a, int b) {
   return std::max(a, b);
 }
 
-// Widens `into` so both original constraints remain satisfiable and lifts
-// the participant to the common generalization of the two object nodes.
-void MergeParticipant(NodeParticipation& into, const NodeParticipation& from,
-                      const Lattice& objects) {
-  int common = objects.CommonAncestor(into.node, from.node);
-  if (common >= 0) into.node = common;
-  into.min_card = std::min(into.min_card, from.min_card);
-  into.max_card = MergedMax(into.max_card, from.max_card);
-  if (into.role.empty()) into.role = from.role;
-}
-
-// True if the two participants may describe the same role: their object
-// nodes are related through the lattice.
-bool ParticipantsCompatible(const NodeParticipation& a,
-                            const NodeParticipation& b,
-                            const Lattice& objects) {
-  return objects.CommonAncestor(a.node, b.node) >= 0;
-}
-
+// Merges `extra` into `base`: each extra participant widens the first
+// unmatched base participant whose object node it shares a generalization
+// with (lifted to the most specific one, cardinalities widened so both
+// original constraints stay satisfiable), or is appended.
 std::vector<NodeParticipation> MergeParticipantLists(
     const std::vector<NodeParticipation>& base,
     const std::vector<NodeParticipation>& extra, const Lattice& objects) {
@@ -475,14 +443,16 @@ std::vector<NodeParticipation> MergeParticipantLists(
   std::vector<char> matched(out.size(), 0);
   for (const NodeParticipation& p : extra) {
     bool merged = false;
-    for (size_t i = 0; i < out.size(); ++i) {
+    for (size_t i = 0; i < out.size() && !merged; ++i) {
       if (matched[i]) continue;
-      if (ParticipantsCompatible(out[i], p, objects)) {
-        MergeParticipant(out[i], p, objects);
-        matched[i] = 1;
-        merged = true;
-        break;
-      }
+      int common = objects.ancestry.Placement({out[i].node, p.node});
+      if (common < 0) continue;
+      out[i].node = common;
+      out[i].min_card = std::min(out[i].min_card, p.min_card);
+      out[i].max_card = MergedMax(out[i].max_card, p.max_card);
+      if (out[i].role.empty()) out[i].role = p.role;
+      matched[i] = 1;
+      merged = true;
     }
     if (!merged) out.push_back(p);
   }
@@ -538,75 +508,85 @@ Result<IntegrationResult> IntegrateSeeded(
   for (const std::string& name : schemas) {
     ECRINT_ASSIGN_OR_RETURN(const ecr::Schema* schema,
                             catalog.GetSchema(name));
+    if (std::find(components.begin(), components.end(), schema) !=
+        components.end()) {
+      return InvalidArgumentError("Integrate lists schema '" + name +
+                                  "' more than once");
+    }
     components.push_back(schema);
   }
 
-  // Universes, in schema order then declaration order.
+  // Universes, in schema order then declaration order. A relationship's
+  // participants name schema-local object ids; `first_object` turns them
+  // into object-universe positions.
   std::vector<ObjectRef> object_universe;
   std::vector<ObjectRef> relationship_universe;
+  std::vector<const ecr::RelationshipSet*> relationship_sets;
+  std::vector<int> first_object;  // per relationship-universe position
   for (const ecr::Schema* schema : components) {
+    int base = static_cast<int>(object_universe.size());
     for (ecr::ObjectId i = 0; i < schema->num_objects(); ++i) {
       object_universe.push_back({schema->name(), schema->object(i).name});
     }
     for (ecr::RelationshipId i = 0; i < schema->num_relationships(); ++i) {
-      relationship_universe.push_back(
-          {schema->name(), schema->relationship(i).name});
+      const ecr::RelationshipSet& rel = schema->relationship(i);
+      relationship_universe.push_back({schema->name(), rel.name});
+      relationship_sets.push_back(&rel);
+      first_object.push_back(base);
     }
   }
 
   std::set<std::string> used_names;
   ECRINT_ASSIGN_OR_RETURN(
       Lattice objects,
-      BuildLattice(object_universe, assertions, options, used_names));
+      BuildLattice(std::move(object_universe), assertions, used_names));
   ECRINT_ASSIGN_OR_RETURN(
       Lattice rels,
-      BuildLattice(relationship_universe, assertions, options, used_names));
+      BuildLattice(std::move(relationship_universe), assertions, used_names));
 
   IntegrationResult result;
   result.schema.set_name(options.result_name);
-  result.object_clusters = BuildClusters(assertions, object_universe);
-  result.relationship_clusters =
-      BuildClusters(assertions, relationship_universe);
+  result.object_clusters = BuildClusters(assertions, objects.universe);
+  result.relationship_clusters = BuildClusters(assertions, rels.universe);
 
   // --- attributes ----------------------------------------------------------
   std::map<ecr::AttributePath, AttributeMapping> attribute_targets;
   {
     std::vector<SourceAttribute> object_attributes;
     std::vector<SourceAttribute> relationship_attributes;
+    int object_pos = 0;
+    int rel_pos = 0;
     for (const ecr::Schema* schema : components) {
       for (ecr::ObjectId i = 0; i < schema->num_objects(); ++i) {
         const ecr::ObjectClass& object = schema->object(i);
         for (const ecr::Attribute& a : object.attributes) {
-          object_attributes.push_back(
-              {{schema->name(), object.name, a.name},
-               a,
-               objects.node_of.at({schema->name(), object.name})});
+          object_attributes.push_back({{schema->name(), object.name, a.name},
+                                       a,
+                                       objects.node_of[object_pos]});
         }
+        ++object_pos;
       }
       for (ecr::RelationshipId i = 0; i < schema->num_relationships(); ++i) {
         const ecr::RelationshipSet& rel = schema->relationship(i);
         for (const ecr::Attribute& a : rel.attributes) {
           relationship_attributes.push_back(
-              {{schema->name(), rel.name, a.name},
-               a,
-               rels.node_of.at({schema->name(), rel.name})});
+              {{schema->name(), rel.name, a.name}, a, rels.node_of[rel_pos]});
         }
+        ++rel_pos;
       }
     }
-    PlaceAttributes(objects, object_attributes, equivalence, options,
+    PlaceAttributes(objects, object_attributes, equivalence,
                     result.derived_attributes, attribute_targets);
-    PlaceAttributes(rels, relationship_attributes, equivalence, options,
+    PlaceAttributes(rels, relationship_attributes, equivalence,
                     result.derived_attributes, attribute_targets);
   }
 
   // --- assemble object classes --------------------------------------------
-  std::vector<int> object_order = TopoOrder(objects);
   std::vector<ecr::ObjectId> node_to_id(objects.nodes.size(),
                                         ecr::kNoObject);
-  for (int node : object_order) {
+  for (int node : objects.ancestry.order) {
     const Node& n = objects.nodes[node];
-    std::vector<int> parents =
-        DirectParents(objects, node, options.transitive_reduction);
+    std::vector<int> parents = DirectParents(objects, node);
     Result<ecr::ObjectId> id = ecr::kNoObject;
     if (parents.empty()) {
       id = result.schema.AddEntitySet(n.name);
@@ -633,41 +613,35 @@ Result<IntegrationResult> IntegrateSeeded(
   }
 
   // --- assemble relationship sets -----------------------------------------
-  // Participants of every source relationship, against object node ids.
-  auto source_participants =
-      [&](const ObjectRef& ref) -> std::vector<NodeParticipation> {
+  // Participants of a source relationship (by universe position), against
+  // object node ids.
+  auto source_participants = [&](int pos) {
     std::vector<NodeParticipation> out;
-    for (const ecr::Schema* schema : components) {
-      if (schema->name() != ref.schema) continue;
-      ecr::RelationshipId id = schema->FindRelationship(ref.object);
-      if (id < 0) continue;
-      for (const ecr::Participation& p : schema->relationship(id).participants) {
-        out.push_back({objects.node_of.at(
-                           {schema->name(), schema->object(p.object).name}),
-                       p.min_card, p.max_card, p.role});
-      }
+    for (const ecr::Participation& p : relationship_sets[pos]->participants) {
+      out.push_back({objects.node_of[first_object[pos] + p.object],
+                     p.min_card, p.max_card, p.role});
     }
     return out;
   };
 
-  std::vector<int> rel_order = TopoOrder(rels);
+  const std::vector<int>& rel_order = rels.ancestry.order;
   std::vector<std::vector<NodeParticipation>> rel_participants(
       rels.nodes.size());
   // Children before parents so a derived relationship can generalize its
-  // children's already-merged participant lists; TopoOrder gives parents
-  // first, so iterate it in reverse.
+  // children's already-merged participant lists; the topological order
+  // gives parents first, so iterate it in reverse.
   for (auto it = rel_order.rbegin(); it != rel_order.rend(); ++it) {
     int node = *it;
     const Node& n = rels.nodes[node];
     std::vector<NodeParticipation> merged;
-    for (const ObjectRef& source : n.sources) {
+    for (int source : n.members) {
       merged = merged.empty()
                    ? source_participants(source)
                    : MergeParticipantLists(merged,
                                            source_participants(source),
                                            objects);
     }
-    if (n.sources.empty()) {
+    if (n.members.empty()) {
       // Derived relationship: generalize over its children.
       for (size_t child = 0; child < rels.nodes.size(); ++child) {
         if (!rels.nodes[child].parents.count(node)) continue;
@@ -708,9 +682,7 @@ Result<IntegrationResult> IntegrateSeeded(
     }
   }
   for (int node : rel_order) {
-    std::vector<int> parents =
-        DirectParents(rels, node, options.transitive_reduction);
-    for (int p : parents) {
+    for (int p : DirectParents(rels, node)) {
       result.schema.mutable_relationship(rel_node_to_id[node])
           .parents.push_back(rel_node_to_id[p]);
     }
@@ -723,7 +695,7 @@ Result<IntegrationResult> IntegrateSeeded(
       info.name = node.name;
       info.kind = kind;
       info.origin = node.origin;
-      info.sources = node.sources;
+      for (int m : node.members) info.sources.push_back(lattice.universe[m]);
       result.structures.push_back(std::move(info));
     }
   };
@@ -732,15 +704,20 @@ Result<IntegrationResult> IntegrateSeeded(
 
   auto emit_mappings = [&](const Lattice& lattice, StructureKind kind) {
     for (const Node& node : lattice.nodes) {
-      for (const ObjectRef& source : node.sources) {
+      for (int m : node.members) {
+        const ObjectRef& source = lattice.universe[m];
         StructureMapping mapping;
         mapping.source = source;
         mapping.kind = kind;
         mapping.target = node.name;
-        for (auto& [path, attr_mapping] : attribute_targets) {
-          if (path.schema == source.schema && path.object == source.object) {
-            mapping.attributes.push_back(attr_mapping);
-          }
+        // The source's attribute paths form one contiguous run of the map.
+        for (auto it = attribute_targets.lower_bound(
+                 {source.schema, source.object, ""});
+             it != attribute_targets.end() &&
+             it->first.schema == source.schema &&
+             it->first.object == source.object;
+             ++it) {
+          mapping.attributes.push_back(it->second);
         }
         result.mappings.push_back(std::move(mapping));
       }

@@ -12,17 +12,15 @@
 
 namespace ecrint::core {
 
-// Knobs for phase 4. Defaults reproduce the paper's behaviour.
+// Knobs for phase 4. Defaults reproduce the paper's behaviour. The lattice
+// is always transitively reduced (a ⊂ b ⊂ c keeps only a→b→c, not a→c, as
+// in the paper's figures), and generated names use 4-character fragments
+// (D_Stud_Facu).
 struct IntegrationOptions {
   // Preload within-schema structure into the assertion closure (see
   // core/seeding.h). Disable to integrate exactly and only from DDA input.
   bool seed_category_containment = true;
   bool seed_entity_disjointness = true;
-  // Drop IS-A edges implied by other edges (a ⊂ b ⊂ c keeps only a→b→c,
-  // not a→c). The paper's lattices are reduced.
-  bool transitive_reduction = true;
-  // Length of the name fragments in generated names (D_Stud_Facu uses 4).
-  int name_prefix_length = 4;
   // Name of the produced schema.
   std::string result_name = "integrated";
 };
@@ -39,8 +37,9 @@ struct IntegrationOptions {
 //     through the object lattice, cardinality constraints widened),
 //   * component↔integrated mappings are emitted for request translation.
 //
-// Works n-ary: any number of schemas ≥ 1 (the paper's tool integrates two
-// per run; the methodology — and this function — handles n at once).
+// Works n-ary: any number of distinct schemas ≥ 1 (the paper's tool
+// integrates two per run; the methodology — and this function — handles n
+// at once). Naming a schema twice is an InvalidArgument error.
 // `assertions` is taken by value because within-schema structure is seeded
 // into the closure first; pass your store as-is.
 Result<IntegrationResult> Integrate(const ecr::Catalog& catalog,

@@ -105,7 +105,9 @@ bool Domain::Comparable(const Domain& other) const {
 std::string Domain::ToString() const {
   std::string out = DomainTypeName(type_);
   if (type_ == DomainType::kChar && max_length_.has_value()) {
-    out += "(" + std::to_string(*max_length_) + ")";
+    out += '(';
+    out += std::to_string(*max_length_);
+    out += ')';
   }
   if (lower_bound_.has_value() || upper_bound_.has_value()) {
     auto render = [this](double v) {
@@ -114,8 +116,11 @@ std::string Domain::ToString() const {
       }
       return FormatFixed(v, 2);
     };
-    out += "[" + render(lower_bound_.value_or(0)) + ".." +
-           render(upper_bound_.value_or(0)) + "]";
+    out += '[';
+    out += render(lower_bound_.value_or(0));
+    out += "..";
+    out += render(upper_bound_.value_or(0));
+    out += ']';
   }
   if (!unit_.empty()) out += " unit " + unit_;
   return out;

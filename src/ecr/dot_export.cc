@@ -13,8 +13,10 @@ std::string EscapeLabel(const std::string& s) {
   return out;
 }
 
-std::string ObjectNode(ObjectId id) { return "o" + std::to_string(id); }
-std::string RelNode(RelationshipId id) { return "r" + std::to_string(id); }
+// Built as char + string (an insert) rather than "o" + to_string(): GCC
+// 12's -Wrestrict false-positives on operator+(const char*, string&&).
+std::string ObjectNode(ObjectId id) { return 'o' + std::to_string(id); }
+std::string RelNode(RelationshipId id) { return 'r' + std::to_string(id); }
 
 }  // namespace
 
@@ -28,7 +30,7 @@ std::string ToDot(const Schema& schema) {
   auto emit_attributes = [&](const std::string& owner_node,
                              const std::vector<Attribute>& attributes) {
     for (const Attribute& a : attributes) {
-      std::string node = "a" + std::to_string(attr_counter++);
+      std::string node = 'a' + std::to_string(attr_counter++);
       std::string label = EscapeLabel(a.name);
       if (a.is_key) label = "<<u>" + label + "</u>>";
       out += "  " + node + " [shape=ellipse, ";

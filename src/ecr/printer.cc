@@ -10,7 +10,8 @@ std::string ParticipantToString(const Schema& schema,
                                 const Participation& p) {
   std::string out = schema.object(p.object).name;
   if (!p.role.empty()) out += " as " + p.role;
-  out += " " + CardinalityToString(p.min_card, p.max_card);
+  out += ' ';
+  out += CardinalityToString(p.min_card, p.max_card);
   return out;
 }
 

@@ -20,7 +20,8 @@ char ObjectKindCode(ObjectKind kind) {
 }
 
 std::string CardinalityToString(int min_card, int max_card) {
-  std::string out = "[" + std::to_string(min_card) + ",";
+  std::string out = '[' + std::to_string(min_card);
+  out += ',';
   out += max_card == kUnboundedCardinality ? "n" : std::to_string(max_card);
   out += "]";
   return out;

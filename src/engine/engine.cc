@@ -369,98 +369,81 @@ Result<const core::IntegrationResult*> Engine::Integrate(
   }
 
   const core::EquivalenceMap& equivalence = EnsureEquivalence();
-
+  Result<core::IntegrationResult> result = InternalError("unreachable");
   if (options_.binary_ladder) {
     trace_.Count("integrate", "ladder_rebuilds");
-    Result<core::IntegrationResult> ladder = core::IntegrateBinaryLadder(
-        catalog_, names, equivalence, assertions_, options_.integration);
-    if (!ladder.ok()) {
-      integration_.reset();
-      ++integration_version_;
-      AddDiagnostic(StatusDiagnostic("integration-failed", ladder.status()));
-      return ladder.status();
-    }
-    integration_ = *std::move(ladder);
-    ++integration_version_;
-    integrated_schemas_ = std::move(names);
-    integrated_schema_generation_ = schema_generation_;
-    integrated_equivalence_generation_ = equivalence_generation_;
-    integrated_assertion_epoch_ = assertion_epoch_;
-    integrated_log_pos_ = log_size;
-    return &*integration_;
-  }
-
-  // Try to extend the cached seeded closure: valid when the schema layer is
-  // unchanged and the assertion log is an append-only extension of what the
-  // closure already absorbed. Closure confluence makes the extended store
-  // bit-equal (in its `possible` matrix) to a full replay.
-  bool incremental = options_.incremental && seeded_.has_value() &&
-                     seeded_schemas_ == names &&
-                     seeded_schema_generation_ == schema_generation_ &&
-                     seeded_assertion_epoch_ == assertion_epoch_ &&
-                     seeded_log_pos_ <= log_size;
-  if (incremental) {
-    const std::vector<core::Assertion>& log = assertions_.user_assertions();
-    for (int i = seeded_log_pos_; i < log_size; ++i) {
-      Result<core::ConflictReport> applied = seeded_->Assert(log[i]);
-      if (!applied.ok()) {
-        // The new assertion contradicts seeded schema structure. Fall back
-        // to the full path so the error (and blame order) is exactly what a
-        // from-scratch Integrate reports.
-        seeded_.reset();
-        incremental = false;
-        break;
-      }
-      ++seeded_log_pos_;
-    }
-  }
-
-  Result<core::IntegrationResult> result = InternalError("unreachable");
-  if (incremental) {
-    trace_.Count("integrate", "incremental_reuses");
-    result = core::IntegrateSeeded(catalog_, names, equivalence, *seeded_,
-                                   options_.integration);
+    result = core::IntegrateBinaryLadder(catalog_, names, equivalence,
+                                         assertions_, options_.integration);
   } else {
-    trace_.Count("integrate", "full_rebuilds");
-    core::AssertionStore seeded = assertions_;
-    Status status = core::SeedForIntegration(seeded, catalog_, names,
-                                             options_.integration);
-    if (!status.ok()) {
-      integration_.reset();
-      ++integration_version_;
-      seeded_.reset();
-      AddDiagnostic(StatusDiagnostic("integration-failed", status));
-      return status;
+    // Try to extend the cached seeded closure: valid when the schema layer
+    // is unchanged and the assertion log is an append-only extension of
+    // what the closure already absorbed. Closure confluence makes the
+    // extended store bit-equal (in its `possible` matrix) to a full replay.
+    bool incremental = options_.incremental && seeded_.has_value() &&
+                       seeded_schemas_ == names &&
+                       seeded_schema_generation_ == schema_generation_ &&
+                       seeded_assertion_epoch_ == assertion_epoch_ &&
+                       seeded_log_pos_ <= log_size;
+    if (incremental) {
+      const std::vector<core::Assertion>& log = assertions_.user_assertions();
+      for (int i = seeded_log_pos_; i < log_size; ++i) {
+        Result<core::ConflictReport> applied = seeded_->Assert(log[i]);
+        if (!applied.ok()) {
+          // The new assertion contradicts seeded schema structure. Fall
+          // back to the full path so the error (and blame order) is exactly
+          // what a from-scratch Integrate reports.
+          seeded_.reset();
+          incremental = false;
+          break;
+        }
+        ++seeded_log_pos_;
+      }
     }
-    trace_.Count("integrate", "assertions_derived",
-                 static_cast<int64_t>(seeded.user_assertions().size()) -
-                     log_size);
-    seeded_ = std::move(seeded);
-    seeded_schemas_ = names;
-    seeded_schema_generation_ = schema_generation_;
-    seeded_assertion_epoch_ = assertion_epoch_;
-    seeded_log_pos_ = log_size;
-    result = core::IntegrateSeeded(catalog_, names, equivalence, *seeded_,
-                                   options_.integration);
+    if (incremental) {
+      trace_.Count("integrate", "incremental_reuses");
+    } else {
+      trace_.Count("integrate", "full_rebuilds");
+      core::AssertionStore seeded = assertions_;
+      Status status = core::SeedForIntegration(seeded, catalog_, names,
+                                               options_.integration);
+      if (status.ok()) {
+        trace_.Count("integrate", "assertions_derived",
+                     static_cast<int64_t>(seeded.user_assertions().size()) -
+                         log_size);
+        seeded_ = std::move(seeded);
+        seeded_schemas_ = names;
+        seeded_schema_generation_ = schema_generation_;
+        seeded_assertion_epoch_ = assertion_epoch_;
+        seeded_log_pos_ = log_size;
+      } else {
+        seeded_.reset();
+        result = status;
+      }
+    }
+    if (seeded_.has_value()) {  // empty only when seeding just failed
+      result = core::IntegrateSeeded(catalog_, names, equivalence, *seeded_,
+                                     options_.integration);
+    }
   }
 
+  integration_.reset();
+  ++integration_version_;
   if (!result.ok()) {
-    integration_.reset();
-    ++integration_version_;
     AddDiagnostic(StatusDiagnostic("integration-failed", result.status()));
     return result.status();
   }
   integration_ = *std::move(result);
-  ++integration_version_;
   integrated_schemas_ = std::move(names);
   integrated_schema_generation_ = schema_generation_;
   integrated_equivalence_generation_ = equivalence_generation_;
   integrated_assertion_epoch_ = assertion_epoch_;
   integrated_log_pos_ = log_size;
-  trace_.Count("integrate", "clusters_built",
-               static_cast<int64_t>(integration_->object_clusters.size() +
-                                    integration_->relationship_clusters
-                                        .size()));
+  if (!options_.binary_ladder) {
+    trace_.Count("integrate", "clusters_built",
+                 static_cast<int64_t>(integration_->object_clusters.size() +
+                                      integration_->relationship_clusters
+                                          .size()));
+  }
   return &*integration_;
 }
 

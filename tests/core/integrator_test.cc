@@ -498,6 +498,18 @@ TEST(IntegratorTest, RejectsEmptyAndUnknownSchemas) {
       Integrate(catalog, {"sc1", "nope"}, equivalence, assertions).ok());
 }
 
+TEST(IntegratorTest, RejectsSchemaListedTwice) {
+  ecr::Catalog catalog = UniversityCatalog();
+  EquivalenceMap equivalence = *EquivalenceMap::Create(catalog, {"sc1"});
+  AssertionStore assertions;
+  Result<IntegrationResult> result =
+      Integrate(catalog, {"sc1", "sc2", "sc1"}, equivalence, assertions);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.status().message(),
+            "Integrate lists schema 'sc1' more than once");
+}
+
 TEST(IntegratorTest, ResultNameOption) {
   ecr::Catalog catalog = UniversityCatalog();
   EquivalenceMap equivalence = *EquivalenceMap::Create(catalog, {"sc1"});

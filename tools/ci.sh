@@ -20,9 +20,11 @@
 #            diskless) over real sockets: snapshot bootstrap, identical
 #            exports everywhere, NOT_LEADER redirects, kill -9 of the
 #            leader mid-stream, and reconvergence after its restart.
-#   bench    Release build of perf_closure, short sweep of the closure
-#            kernel, then BM_AssertChain/64 compared against the recorded
-#            number in BENCH_resemblance.json: fail on >2x regression,
+#   bench    Release build of perf_closure and perf_engine, short sweep of
+#            the closure kernel, then BM_AssertChain/64 compared against the
+#            recorded number in BENCH_resemblance.json and
+#            BM_EngineIncrementalEdit/250 against BENCH_engine.json: fail
+#            on >2x regression of either,
 #            plus the mixed-throughput number in BENCH_service.json
 #            sanity-checked against the recorded Release stamp.
 #   protocol-compat
@@ -1205,33 +1207,24 @@ run_chaos_suite() {
   cleanup "${build_dir}"
 }
 
-# Guards the closure worklist kernel against silent perf regressions: a
-# Release build of perf_closure, a short BM_AssertChain sweep, and a gate
-# at 2x the recorded BENCH_resemblance.json number for BM_AssertChain/64.
+# Fails when benchmark $3 of the fresh google-benchmark report $1 takes more
+# than 2x the number recorded for it in $2 (a Release-stamped BENCH_*.json).
 # The recorded number comes from a long Release run on the reference host;
-# 2x absorbs host jitter while still catching an accidental return to the
-# O(N^3) recompute path (a ~30x slowdown).
-run_bench_suite() {
-  local build_dir="${repo_root}/build-ci-bench"
-  echo "=== bench: configure + build (Release)" >&2
-  configure_and_build "${build_dir}" perf_closure -- \
-    -DCMAKE_BUILD_TYPE=Release
-  echo "=== bench: BM_AssertChain sweep" >&2
-  local report="${build_dir}/bench_smoke.json"
-  "${build_dir}/bench/perf_closure" \
-    --benchmark_filter='BM_AssertChain' \
-    --benchmark_format=json >"${report}"
-  python3 - "${report}" "${repo_root}/BENCH_resemblance.json" <<'PY'
+# 2x absorbs host jitter while still catching a return to an old slow path.
+gate_recorded_bench() {
+  python3 - "$@" <<'PY'
 import json
+import os
 import sys
 
-NAME = "BM_AssertChain/64"
+fresh_path, recorded_path, NAME = sys.argv[1:4]
+RECORDED = os.path.basename(recorded_path)
 LIMIT = 2.0
 
-with open(sys.argv[1]) as f:
+with open(fresh_path) as f:
     fresh = {b["name"]: b["real_time"] for b in json.load(f)["benchmarks"]
              if b.get("run_type") == "iteration"}
-with open(sys.argv[2]) as f:
+with open(recorded_path) as f:
     recorded_doc = json.load(f)
 recorded = {b["name"]: b["real_time"]
             for b in recorded_doc.get("benchmarks", [])
@@ -1240,10 +1233,10 @@ recorded = {b["name"]: b["real_time"]
 if NAME not in fresh:
     sys.exit(f"bench gate: {NAME} missing from the fresh sweep")
 if NAME not in recorded:
-    sys.exit(f"bench gate: {NAME} missing from BENCH_resemblance.json; "
+    sys.exit(f"bench gate: {NAME} missing from {RECORDED}; "
              "re-record with bench/run_benches.sh from a Release build")
 if not recorded_doc.get("context", {}).get("ecrint_release_build"):
-    sys.exit("bench gate: recorded baseline was not stamped as a Release "
+    sys.exit(f"bench gate: {RECORDED} was not stamped as a Release "
              "build; re-record with bench/run_benches.sh")
 
 ratio = fresh[NAME] / recorded[NAME]
@@ -1253,6 +1246,33 @@ if ratio > LIMIT:
     sys.exit(f"bench gate: {NAME} regressed {ratio:.2f}x over the recorded "
              f"baseline (limit {LIMIT}x)")
 PY
+}
+
+# Guards against silent perf regressions in a Release build: the closure
+# worklist kernel (BM_AssertChain/64 against BENCH_resemblance.json; an
+# accidental return to the O(N^3) recompute path is a ~30x slowdown) and the
+# engine's incremental integrate (BM_EngineIncrementalEdit/250 against
+# BENCH_engine.json; phase 4 going back to per-pair string lookups is
+# several times slower), each gated at 2x the recorded number.
+run_bench_suite() {
+  local build_dir="${repo_root}/build-ci-bench"
+  echo "=== bench: configure + build (Release)" >&2
+  configure_and_build "${build_dir}" perf_closure perf_engine -- \
+    -DCMAKE_BUILD_TYPE=Release
+  echo "=== bench: BM_AssertChain sweep" >&2
+  local report="${build_dir}/bench_smoke.json"
+  "${build_dir}/bench/perf_closure" \
+    --benchmark_filter='BM_AssertChain' \
+    --benchmark_format=json >"${report}"
+  gate_recorded_bench "${report}" "${repo_root}/BENCH_resemblance.json" \
+    "BM_AssertChain/64"
+  echo "=== bench: BM_EngineIncrementalEdit/250" >&2
+  local engine_report="${build_dir}/bench_engine.json"
+  "${build_dir}/bench/perf_engine" \
+    --benchmark_filter='BM_EngineIncrementalEdit/250$' \
+    --benchmark_format=json >"${engine_report}"
+  gate_recorded_bench "${engine_report}" "${repo_root}/BENCH_engine.json" \
+    "BM_EngineIncrementalEdit/250"
   echo "=== bench: service mixed-throughput gate" >&2
   # The recorded service numbers must come from a Release build, and both
   # binary planes must clearly beat the plain text plane. The floor is a
