@@ -97,6 +97,10 @@ struct BadDdlCase {
   const char* ddl;
 };
 
+// Without a printer gtest shows the two pointers as raw bytes, and ctest's
+// discovered test names would then change with every load address.
+void PrintTo(const BadDdlCase& c, std::ostream* os) { *os << c.label; }
+
 class DdlParserErrorTest : public ::testing::TestWithParam<BadDdlCase> {};
 
 TEST_P(DdlParserErrorTest, RejectsMalformedInput) {
