@@ -4,7 +4,6 @@
 #include <iostream>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "ecr/ddl_parser.h"
 
 namespace ecrint::bench {
@@ -119,8 +118,7 @@ core::AssertionStore TruthAssertions(const workload::Workload& workload) {
     batch.push_back(
         core::Assertion{relation.first, relation.second, relation.assertion});
   }
-  Result<core::ConflictReport> r =
-      store.AssertBatch(batch, &common::ThreadPool::Shared());
+  Result<core::ConflictReport> r = store.AssertBatch(batch);
   if (!r.ok()) Die(r.status());  // ground truth is consistent by design
   return store;
 }

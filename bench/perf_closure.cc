@@ -11,7 +11,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "common/thread_pool.h"
 #include "core/assertion_store.h"
 #include "paper_fixtures.h"
 #include "workload/generator.h"
@@ -71,29 +70,6 @@ void BM_ConflictDetection(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConflictDetection)->Arg(8)->Arg(32)->Arg(64);
-
-// Bulk seeding across independent constraint clusters: the batch entry
-// point closes each island's worklist on its own ThreadPool worker and
-// merges the scratch stores. Arg = number of 12-object chain islands.
-void BM_AssertBatchClustered(benchmark::State& state) {
-  int islands = static_cast<int>(state.range(0));
-  constexpr int kPerIsland = 12;
-  std::vector<core::Assertion> batch;
-  for (int g = 0; g < islands; ++g) {
-    for (int m = 0; m + 1 < kPerIsland; ++m) {
-      batch.push_back(core::Assertion{
-          ObjectRef{"isle" + std::to_string(g), "O" + std::to_string(m)},
-          ObjectRef{"isle" + std::to_string(g), "O" + std::to_string(m + 1)},
-          AssertionType::kContainedIn});
-    }
-  }
-  for (auto _ : state) {
-    AssertionStore store;
-    benchmark::DoNotOptimize(
-        store.AssertBatch(batch, &common::ThreadPool::Shared()));
-  }
-}
-BENCHMARK(BM_AssertBatchClustered)->Arg(1)->Arg(4)->Arg(16);
 
 // Querying derived facts over a populated store.
 void BM_DerivedFacts(benchmark::State& state) {

@@ -344,9 +344,9 @@ service::BinaryRequest MakeMixedRequest(const workload::Workload& workload,
 //   * compares the per-connection memory against a thread-per-connection
 //     baseline: parked threads blocked in read(2) with the old server's
 //     64 KiB stack buffer touched, the shape this plane replaced.
-// The child is forked FIRST in main, before anything can spawn a thread
-// (common::ThreadPool::Shared() is lazy, so a fork before the first
-// engine rebuild is a fork of a single-threaded process).
+// The child is forked FIRST in main, before anything can spawn a thread,
+// so it is a fork of a single-threaded process (the core never starts
+// threads of its own; only the service plane does).
 
 volatile int g_bench_server_shutdown_fd = -1;
 

@@ -10,8 +10,6 @@
 #include <immintrin.h>
 #endif
 
-#include "common/thread_pool.h"
-
 namespace ecrint::core {
 
 namespace {
@@ -389,7 +387,6 @@ Result<ConflictReport> AssertionStore::Constrain(const ObjectRef& first,
   // key bound), so support expansion through it contributes nothing, which
   // matches the Screen-9 contract for domain-derived constraints.
   Narrow(i, j, static_cast<RelationSet>(current & allowed), -1);
-  has_constraints_ = true;
   auto [ci, cj] = Drain();
   stats_.kernel_ns += NowNs() - t0;
   if (ci >= 0) {
@@ -504,7 +501,7 @@ int AssertionStore::num_clusters() const {
   return clusters;
 }
 
-Result<ConflictReport> AssertionStore::AssertSequential(
+Result<ConflictReport> AssertionStore::AssertBatch(
     const std::vector<Assertion>& batch) {
   ConflictReport last_ok;
   for (const Assertion& assertion : batch) {
@@ -513,180 +510,6 @@ Result<ConflictReport> AssertionStore::AssertSequential(
     last_ok = std::move(*r);
   }
   return last_ok;
-}
-
-void AssertionStore::MergeComponent(
-    const AssertionStore& scratch, const std::vector<int>& object_map,
-    const std::vector<int32_t>& assertion_map) {
-  std::vector<int32_t> chain;
-  for (int i = 0; i < scratch.num_objects(); ++i) {
-    int mi = object_map[i];
-    // Diagonal: a self-assertion leaves its id on the diagonal cell.
-    int32_t self = scratch.direct_[scratch.Cell(i, i)];
-    if (self >= 0) direct_[Cell(mi, mi)] = assertion_map[self];
-    for (int j = i + 1; j < scratch.num_objects(); ++j) {
-      int64_t sc = scratch.Cell(i, j);
-      RelationSet v = scratch.rel_[sc];
-      if (v == kAnyRelation && scratch.direct_[sc] < 0) continue;
-      int mj = object_map[j];
-      rel_[Cell(mi, mj)] = v;
-      rel_[Cell(mj, mi)] = Converse(v);
-      if (v != kAnyRelation) {
-        SetConstrainedBit(mi, mj);
-        SetConstrainedBit(mj, mi);
-      }
-      int64_t cn = NormCell(mi, mj);
-      direct_[cn] =
-          scratch.direct_[sc] >= 0 ? assertion_map[scratch.direct_[sc]] : -1;
-      // Re-link the derivation chain in scratch order (head = most recent
-      // narrowing). The closure confined to this component ran the exact
-      // sequence a sequential replay would, so the rebuilt chain is the
-      // sequential chain; the cell's previous records in deriv_pool_ are
-      // orphaned, which only costs their 8 bytes until the store is copied.
-      chain.clear();
-      for (int32_t rec = scratch.deriv_head_[sc]; rec >= 0;
-           rec = scratch.deriv_pool_[rec].next) {
-        chain.push_back(rec);
-      }
-      int32_t head = -1;
-      for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-        deriv_pool_.push_back(
-            {static_cast<int32_t>(object_map[scratch.deriv_pool_[*it].via]),
-             head});
-        head = static_cast<int32_t>(deriv_pool_.size() - 1);
-      }
-      deriv_head_[cn] = head;
-    }
-  }
-  deriv_pool_mark_ = deriv_pool_.size();
-}
-
-Result<ConflictReport> AssertionStore::AssertBatch(
-    const std::vector<Assertion>& batch, common::ThreadPool* pool) {
-  if (pool == nullptr || pool->size() <= 1 || has_constraints_ ||
-      batch.size() <= 1) {
-    return AssertSequential(batch);
-  }
-
-  // Intern every endpoint up front, in batch order — the same ids a
-  // sequential replay would assign, so the merged store is bit-identical.
-  for (const Assertion& a : batch) {
-    Intern(a.first);
-    Intern(a.second);
-  }
-  int n = num_objects();
-
-  // Connected components of the constraint graph: existing constrained
-  // pairs plus the batch edges.
-  std::vector<int> parent(n);
-  std::iota(parent.begin(), parent.end(), 0);
-  auto find = [&parent](int x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (int i = 0; i < n; ++i) {
-    const uint64_t* bits_i = &constrained_[static_cast<size_t>(i) * words_];
-    for (int w = 0; w < words_; ++w) {
-      uint64_t bits = bits_i[w];
-      while (bits != 0) {
-        int k = (w << 6) + std::countr_zero(bits);
-        bits &= bits - 1;
-        if (k > i) parent[find(i)] = find(k);
-      }
-    }
-  }
-  for (const Assertion& a : batch) {
-    parent[find(index_.at(a.first))] = find(index_.at(a.second));
-  }
-
-  // Group batch assertions by component root.
-  std::unordered_map<int, int> group_of_root;
-  std::vector<std::vector<int>> groups;
-  for (size_t bi = 0; bi < batch.size(); ++bi) {
-    int root = find(index_.at(batch[bi].first));
-    auto [it, inserted] =
-        group_of_root.try_emplace(root, static_cast<int>(groups.size()));
-    if (inserted) groups.emplace_back();
-    groups[it->second].push_back(static_cast<int>(bi));
-  }
-  if (groups.size() <= 1) return AssertSequential(batch);
-
-  int64_t t0 = NowNs();
-  ++stats_.batch_parallel_runs;
-  int32_t base_id = static_cast<int32_t>(user_assertions_.size());
-
-  // Each group's replay sequence: the existing user assertions of its
-  // component (by original id), then its batch slice — in global order.
-  struct Task {
-    std::vector<Assertion> replay;
-    std::vector<int32_t> assertion_map;  // scratch assertion id -> main id
-    AssertionStore scratch;
-    bool conflicted = false;
-  };
-  std::vector<Task> tasks(groups.size());
-  for (size_t ai = 0; ai < user_assertions_.size(); ++ai) {
-    int root = find(index_.at(user_assertions_[ai].first));
-    auto it = group_of_root.find(root);
-    if (it == group_of_root.end()) continue;  // component untouched by batch
-    Task& task = tasks[it->second];
-    task.replay.push_back(user_assertions_[ai]);
-    task.assertion_map.push_back(static_cast<int32_t>(ai));
-  }
-  for (size_t g = 0; g < groups.size(); ++g) {
-    for (int bi : groups[g]) {
-      tasks[g].replay.push_back(batch[bi]);
-      tasks[g].assertion_map.push_back(base_id + bi);
-    }
-  }
-
-  pool->ParallelFor(0, static_cast<int>(tasks.size()), 1,
-                    [&tasks](int lo, int hi) {
-                      for (int g = lo; g < hi; ++g) {
-                        for (const Assertion& a : tasks[g].replay) {
-                          if (!tasks[g].scratch.Assert(a).ok()) {
-                            tasks[g].conflicted = true;
-                            break;
-                          }
-                        }
-                      }
-                    });
-
-  for (const Task& task : tasks) {
-    if (!task.conflicted) continue;
-    // Some cluster contradicts. Sequential replay on the (untouched) main
-    // store reproduces the exact first-conflict report and prefix state the
-    // plain Assert() loop would have produced.
-    stats_.kernel_ns += NowNs() - t0;
-    return AssertSequential(batch);
-  }
-
-  // Merge: component closures are independent (composition through an
-  // unconstrained edge derives nothing), so copying each scratch matrix
-  // over its component yields the sequential result.
-  for (size_t g = 0; g < tasks.size(); ++g) {
-    const AssertionStore& scratch = tasks[g].scratch;
-    std::vector<int> object_map(scratch.num_objects());
-    for (int s = 0; s < scratch.num_objects(); ++s) {
-      object_map[s] = index_.at(scratch.objects_[s]);
-    }
-    MergeComponent(scratch, object_map, tasks[g].assertion_map);
-    stats_.worklist_pops += scratch.stats_.worklist_pops;
-    stats_.row_compositions += scratch.stats_.row_compositions;
-    stats_.narrowings += scratch.stats_.narrowings;
-  }
-  user_assertions_.insert(user_assertions_.end(), batch.begin(), batch.end());
-  last_conflict_.reset();
-  stats_.kernel_ns += NowNs() - t0;
-
-  ConflictReport ok;
-  if (!batch.empty()) {
-    ok.attempted = batch.back();
-    ok.existing = PossibleRelations(batch.back().first, batch.back().second);
-  }
-  return ok;
 }
 
 }  // namespace ecrint::core

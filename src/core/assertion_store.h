@@ -12,10 +12,6 @@
 #include "core/object_ref.h"
 #include "core/set_relation.h"
 
-namespace ecrint::common {
-class ThreadPool;
-}  // namespace ecrint::common
-
 namespace ecrint::core {
 
 // Explains why an attempted assertion contradicts the store: the current
@@ -48,15 +44,13 @@ struct ClosureStats {
   int64_t row_compositions = 0;   // packed-row cells visited by sweeps
   int64_t narrowings = 0;         // cells whose relation set shrank
   int64_t conflicts = 0;          // rejected Assert/Constrain attempts
-  int64_t batch_parallel_runs = 0;  // AssertBatch calls that ran clustered
-  int64_t kernel_ns = 0;          // wall time inside Assert/Constrain/batch
+  int64_t kernel_ns = 0;          // wall time inside Assert/Constrain
 
   ClosureStats& operator+=(const ClosureStats& other) {
     worklist_pops += other.worklist_pops;
     row_compositions += other.row_compositions;
     narrowings += other.narrowings;
     conflicts += other.conflicts;
-    batch_parallel_runs += other.batch_parallel_runs;
     kernel_ns += other.kernel_ns;
     return *this;
   }
@@ -113,16 +107,9 @@ class AssertionStore {
                                 const ObjectRef& second, AssertionType type);
 
   // Asserts `batch` in order, stopping at (and reporting) the first
-  // conflict exactly as the equivalent Assert() loop would. When the batch
-  // spans several connected components of the (store ∪ batch) constraint
-  // graph and a pool is supplied, each cluster's closure runs on its own
-  // worker over a scratch store and the results are merged — closure never
-  // crosses a component boundary (composing with kAnyRelation derives
-  // nothing), so the merged matrix, user-assertion log, and derivation
-  // records are identical to the sequential replay. This is the bulk entry
-  // point for integration seeding and full rebuilds.
-  Result<ConflictReport> AssertBatch(const std::vector<Assertion>& batch,
-                                     common::ThreadPool* pool = nullptr);
+  // conflict: the Assert() loop, named as the bulk entry point for
+  // integration seeding and full rebuilds.
+  Result<ConflictReport> AssertBatch(const std::vector<Assertion>& batch);
 
   // Restricts the pair's possible relations to `allowed` without recording
   // a user assertion — the entry point for domain-derived bounds such as
@@ -189,8 +176,9 @@ class AssertionStore {
   const ClosureStats& closure_stats() const { return stats_; }
 
   // Number of connected components among objects that carry at least one
-  // constrained pair — the independent clusters the batch kernel can close
-  // in parallel. Computed on demand from the constrained bitmaps.
+  // constrained pair — independent clusters, since closure never derives
+  // across a component boundary. Computed on demand from the constrained
+  // bitmaps.
   int num_clusters() const;
 
  private:
@@ -257,15 +245,6 @@ class AssertionStore {
 
   ConflictReport ReportFor(int ci, int cj) const;
 
-  Result<ConflictReport> AssertSequential(
-      const std::vector<Assertion>& batch);
-  // Copies every constrained pair of `scratch` into this store, remapping
-  // object ids via `object_map` (scratch id -> this-store id) and user
-  // assertion ids via `assertion_map`.
-  void MergeComponent(const AssertionStore& scratch,
-                      const std::vector<int>& object_map,
-                      const std::vector<int32_t>& assertion_map);
-
   std::vector<ObjectRef> objects_;
   std::unordered_map<ObjectRef, int, ObjectRefHash> index_;
 
@@ -298,9 +277,6 @@ class AssertionStore {
   mutable uint32_t visited_epoch_ = 0;
 
   std::optional<ConflictReport> last_conflict_;
-  // Constrain() state cannot be reproduced by replaying user_assertions_,
-  // so its presence disables the replay-based parallel batch path.
-  bool has_constraints_ = false;
   ClosureStats stats_;
 };
 

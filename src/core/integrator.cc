@@ -8,7 +8,6 @@
 #include <set>
 
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "core/seeding.h"
 
 namespace ecrint::core {
@@ -470,9 +469,8 @@ Status SeedForIntegration(AssertionStore& assertions,
                           const std::vector<std::string>& schemas,
                           const IntegrationOptions& options) {
   // Seed within-schema structure into the closure; contradictions between
-  // DDA assertions and component structure surface here. All schemas are
-  // collected into one batch: each component schema's seeds usually form
-  // their own connected clusters, which AssertBatch closes in parallel.
+  // DDA assertions and component structure surface here. All schemas'
+  // seeds are collected into one batch and asserted in order.
   SeedOptions seed;
   seed.category_containment = options.seed_category_containment;
   seed.entity_disjointness = options.seed_entity_disjointness;
@@ -482,8 +480,7 @@ Status SeedForIntegration(AssertionStore& assertions,
                             catalog.GetSchema(name));
     CollectSchemaSeedAssertions(*schema, seed, seeds);
   }
-  return assertions.AssertBatch(seeds, &common::ThreadPool::Shared())
-      .status();
+  return assertions.AssertBatch(seeds).status();
 }
 
 Result<IntegrationResult> Integrate(const ecr::Catalog& catalog,

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "ecr/ddl_parser.h"
 #include "ecr/printer.h"
 
@@ -22,8 +21,7 @@ Result<EquivalenceMap> Project::BuildEquivalence() const {
 
 Result<AssertionStore> Project::BuildAssertions() const {
   AssertionStore store;
-  Result<ConflictReport> r =
-      store.AssertBatch(assertions, &common::ThreadPool::Shared());
+  Result<ConflictReport> r = store.AssertBatch(assertions);
   if (!r.ok()) return r.status();
   return store;
 }

@@ -4,19 +4,9 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/thread_pool.h"
-
 namespace ecrint::core {
 
 namespace {
-
-// Below these sizes the build and the scoring run entirely on the calling
-// thread. Paper-sized fixtures (a dozen structures) are far below both, so
-// their outputs cannot depend on the pool even in principle; above them the
-// parallel path still applies integer partials in fixed chunk order, so
-// results stay bit-identical to the sequential path.
-constexpr int kParallelClassThreshold = 256;    // nontrivial classes
-constexpr size_t kParallelCellThreshold = 1 << 14;  // R*C pairs
 
 // Structures of one kind with their own-attribute counts.
 std::vector<std::pair<ObjectRef, int>> StructuresOf(const ecr::Schema& schema,
@@ -83,47 +73,25 @@ Result<OcsMatrix> OcsMatrix::Create(const ecr::Catalog& catalog,
   // classes once and scatter each class's per-structure member counts: a
   // class with k_r members in row structure r and k_c in column structure c
   // contributes k_r * k_c equivalent pairs to that cell.
-  std::vector<std::vector<int>> classes = equivalence.NontrivialClassIndices();
-  auto scatter = [&](int begin, int end,
-                     std::vector<std::pair<size_t, int>>& deltas) {
-    std::vector<std::pair<int, int>> row_hits;     // (row index, members)
-    std::vector<std::pair<int, int>> column_hits;  // (column index, members)
-    for (int ci = begin; ci < end; ++ci) {
-      row_hits.clear();
-      column_hits.clear();
-      for (int id : classes[ci]) {
-        ObjectRef ref = equivalence.ObjectAt(id);
-        auto rit = row_index.find(ref);
-        if (rit != row_index.end()) {
-          Bump(row_hits, rit->second);
-          continue;  // schemas are distinct; a structure is on one side only
-        }
-        auto cit = column_index.find(ref);
-        if (cit != column_index.end()) Bump(column_hits, cit->second);
+  std::vector<std::pair<int, int>> row_hits;     // (row index, members)
+  std::vector<std::pair<int, int>> column_hits;  // (column index, members)
+  for (const std::vector<int>& members : equivalence.NontrivialClassIndices()) {
+    row_hits.clear();
+    column_hits.clear();
+    for (int id : members) {
+      ObjectRef ref = equivalence.ObjectAt(id);
+      auto rit = row_index.find(ref);
+      if (rit != row_index.end()) {
+        Bump(row_hits, rit->second);
+        continue;  // schemas are distinct; a structure is on one side only
       }
-      for (auto& [r, kr] : row_hits) {
-        for (auto& [c, kc] : column_hits) {
-          deltas.emplace_back(static_cast<size_t>(r) * columns + c, kr * kc);
-        }
-      }
+      auto cit = column_index.find(ref);
+      if (cit != column_index.end()) Bump(column_hits, cit->second);
     }
-  };
-
-  int num_classes = static_cast<int>(classes.size());
-  common::ThreadPool& pool = common::ThreadPool::Shared();
-  if (num_classes < kParallelClassThreshold || pool.size() <= 1) {
-    std::vector<std::pair<size_t, int>> deltas;
-    scatter(0, num_classes, deltas);
-    for (auto& [cell, add] : deltas) matrix.counts_[cell] += add;
-  } else {
-    int grain = std::max(1, num_classes / (pool.size() * 4));
-    int chunks = (num_classes + grain - 1) / grain;
-    std::vector<std::vector<std::pair<size_t, int>>> per_chunk(chunks);
-    pool.ParallelFor(0, num_classes, grain, [&](int begin, int end) {
-      scatter(begin, end, per_chunk[begin / grain]);
-    });
-    for (const auto& deltas : per_chunk) {
-      for (auto& [cell, add] : deltas) matrix.counts_[cell] += add;
+    for (auto& [r, kr] : row_hits) {
+      for (auto& [c, kc] : column_hits) {
+        matrix.counts_[static_cast<size_t>(r) * columns + c] += kr * kc;
+      }
     }
   }
   return matrix;
@@ -132,46 +100,22 @@ Result<OcsMatrix> OcsMatrix::Create(const ecr::Catalog& catalog,
 std::vector<ObjectPair> OcsMatrix::CollectPairs(bool include_zero) const {
   int rows = static_cast<int>(rows_.size());
   int columns = static_cast<int>(columns_.size());
-  auto collect_rows = [&](int begin, int end, std::vector<ObjectPair>& out) {
-    for (int r = begin; r < end; ++r) {
-      for (int c = 0; c < columns; ++c) {
-        int eq = Count(r, c);
-        if (eq == 0 && !include_zero) continue;
-        ObjectPair pair;
-        pair.first = rows_[r];
-        pair.second = columns_[c];
-        pair.equivalent_attributes = eq;
-        pair.smaller_attribute_count =
-            std::min(row_attribute_counts_[r], column_attribute_counts_[c]);
-        int denominator = eq + pair.smaller_attribute_count;
-        pair.attribute_ratio =
-            denominator == 0 ? 0.0 : static_cast<double>(eq) / denominator;
-        out.push_back(pair);
-      }
-    }
-  };
-
-  common::ThreadPool& pool = common::ThreadPool::Shared();
-  size_t cells = static_cast<size_t>(rows) * columns;
-  if (cells < kParallelCellThreshold || pool.size() <= 1 || rows < 2) {
-    std::vector<ObjectPair> pairs;
-    collect_rows(0, rows, pairs);
-    return pairs;
-  }
-  // Each chunk scores its row range into a private vector; concatenating in
-  // chunk order reproduces the sequential row-major order exactly.
-  int grain = std::max(1, rows / (pool.size() * 4));
-  int chunks = (rows + grain - 1) / grain;
-  std::vector<std::vector<ObjectPair>> per_chunk(chunks);
-  pool.ParallelFor(0, rows, grain, [&](int begin, int end) {
-    collect_rows(begin, end, per_chunk[begin / grain]);
-  });
   std::vector<ObjectPair> pairs;
-  size_t total = 0;
-  for (const auto& chunk : per_chunk) total += chunk.size();
-  pairs.reserve(total);
-  for (auto& chunk : per_chunk) {
-    pairs.insert(pairs.end(), chunk.begin(), chunk.end());
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < columns; ++c) {
+      int eq = Count(r, c);
+      if (eq == 0 && !include_zero) continue;
+      ObjectPair pair;
+      pair.first = rows_[r];
+      pair.second = columns_[c];
+      pair.equivalent_attributes = eq;
+      pair.smaller_attribute_count =
+          std::min(row_attribute_counts_[r], column_attribute_counts_[c]);
+      int denominator = eq + pair.smaller_attribute_count;
+      pair.attribute_ratio =
+          denominator == 0 ? 0.0 : static_cast<double>(eq) / denominator;
+      pairs.push_back(pair);
+    }
   }
   return pairs;
 }

@@ -30,11 +30,8 @@ struct ObjectPair {
 // The build never probes the dense R×C pair grid: it walks the equivalence
 // map's nontrivial classes once and scatters each class's per-structure
 // member counts into the (few) cells that can be nonzero, so it costs
-// O(total attributes + matches). Above a size threshold the class scatter
-// and the pair scoring fan out over the shared thread pool; below it (and
-// on all paper-sized fixtures) everything runs on the calling thread, and
-// the parallel path accumulates integer partials in a fixed chunk order so
-// results are bit-identical either way.
+// O(total attributes + matches). Both the build and the pair scoring run
+// on the calling thread.
 class OcsMatrix {
  public:
   // Builds the matrix for structures of `kind` across `schema1` x `schema2`.

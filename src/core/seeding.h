@@ -24,7 +24,7 @@ struct SeedOptions {
 
 // Appends the schema's structural seed assertions to `out` in the order
 // SeedSchemaRelations would assert them, without touching any store. Lets
-// callers seed several schemas in one AssertBatch (cluster-parallel).
+// callers seed several schemas in one AssertBatch.
 void CollectSchemaSeedAssertions(const ecr::Schema& schema,
                                  const SeedOptions& options,
                                  std::vector<Assertion>& out);

@@ -4,8 +4,6 @@
 #include <set>
 #include <utility>
 
-#include "common/thread_pool.h"
-#include "core/nary.h"
 #include "ecr/ddl_parser.h"
 
 namespace ecrint::engine {
@@ -298,11 +296,10 @@ Result<core::ConflictReport> Engine::AssertRelation(
   dedup_log_size_ = static_cast<int64_t>(assertions_.user_assertions().size());
   // Eagerly extend the cached seeded closure with the accepted assertion,
   // so a following Integrate is a pure cache hit on the assertion layer
-  // instead of replaying the delta at integrate time. Sound for the same
-  // reason as the catch-up loop in Integrate: closure confluence. Guard on
-  // the exact log position so retracts/imports (epoch bumps) and schema
-  // edits fall back to the full path.
-  if (options_.incremental && seeded_.has_value() &&
+  // instead of replaying the delta at integrate time. Sound by closure
+  // confluence. Guard on the exact log position so retracts/imports (epoch
+  // bumps) and schema edits fall back to the full path.
+  if (seeded_.has_value() &&
       seeded_schema_generation_ == schema_generation_ &&
       seeded_assertion_epoch_ == assertion_epoch_ &&
       seeded_log_pos_ ==
@@ -333,11 +330,9 @@ Status Engine::RetractRelation(int index) {
     if (i != index) survivors.push_back(current[i]);
   }
   // A subset of a consistent assertion set stays consistent (constraints
-  // only ever intersect), so replay cannot conflict. AssertBatch closes
-  // independent clusters of the surviving assertions in parallel.
+  // only ever intersect), so replay cannot conflict.
   core::AssertionStore rebuilt;
-  Result<core::ConflictReport> replayed =
-      rebuilt.AssertBatch(survivors, &common::ThreadPool::Shared());
+  Result<core::ConflictReport> replayed = rebuilt.AssertBatch(survivors);
   if (!replayed.ok()) {
     return InternalError("assertion replay conflicted after retract: " +
                          replayed.status().message());
@@ -369,61 +364,39 @@ Result<const core::IntegrationResult*> Engine::Integrate(
   }
 
   const core::EquivalenceMap& equivalence = EnsureEquivalence();
+  // Reuse the cached seeded closure when the schema layer is unchanged and
+  // it has absorbed the whole assertion log. AssertRelation extends it on
+  // every append (closure confluence makes the extended store bit-equal in
+  // its `possible` matrix to a full replay); every other assertion change
+  // bumps the epoch, so a stale closure never matches here.
   Result<core::IntegrationResult> result = InternalError("unreachable");
-  if (options_.binary_ladder) {
-    trace_.Count("integrate", "ladder_rebuilds");
-    result = core::IntegrateBinaryLadder(catalog_, names, equivalence,
-                                         assertions_, options_.integration);
+  if (seeded_.has_value() && seeded_schemas_ == names &&
+      seeded_schema_generation_ == schema_generation_ &&
+      seeded_assertion_epoch_ == assertion_epoch_ &&
+      seeded_log_pos_ == log_size) {
+    trace_.Count("integrate", "incremental_reuses");
   } else {
-    // Try to extend the cached seeded closure: valid when the schema layer
-    // is unchanged and the assertion log is an append-only extension of
-    // what the closure already absorbed. Closure confluence makes the
-    // extended store bit-equal (in its `possible` matrix) to a full replay.
-    bool incremental = options_.incremental && seeded_.has_value() &&
-                       seeded_schemas_ == names &&
-                       seeded_schema_generation_ == schema_generation_ &&
-                       seeded_assertion_epoch_ == assertion_epoch_ &&
-                       seeded_log_pos_ <= log_size;
-    if (incremental) {
-      const std::vector<core::Assertion>& log = assertions_.user_assertions();
-      for (int i = seeded_log_pos_; i < log_size; ++i) {
-        Result<core::ConflictReport> applied = seeded_->Assert(log[i]);
-        if (!applied.ok()) {
-          // The new assertion contradicts seeded schema structure. Fall
-          // back to the full path so the error (and blame order) is exactly
-          // what a from-scratch Integrate reports.
-          seeded_.reset();
-          incremental = false;
-          break;
-        }
-        ++seeded_log_pos_;
-      }
-    }
-    if (incremental) {
-      trace_.Count("integrate", "incremental_reuses");
+    trace_.Count("integrate", "full_rebuilds");
+    core::AssertionStore seeded = assertions_;
+    Status status = core::SeedForIntegration(seeded, catalog_, names,
+                                             options_.integration);
+    if (status.ok()) {
+      trace_.Count("integrate", "assertions_derived",
+                   static_cast<int64_t>(seeded.user_assertions().size()) -
+                       log_size);
+      seeded_ = std::move(seeded);
+      seeded_schemas_ = names;
+      seeded_schema_generation_ = schema_generation_;
+      seeded_assertion_epoch_ = assertion_epoch_;
+      seeded_log_pos_ = log_size;
     } else {
-      trace_.Count("integrate", "full_rebuilds");
-      core::AssertionStore seeded = assertions_;
-      Status status = core::SeedForIntegration(seeded, catalog_, names,
-                                               options_.integration);
-      if (status.ok()) {
-        trace_.Count("integrate", "assertions_derived",
-                     static_cast<int64_t>(seeded.user_assertions().size()) -
-                         log_size);
-        seeded_ = std::move(seeded);
-        seeded_schemas_ = names;
-        seeded_schema_generation_ = schema_generation_;
-        seeded_assertion_epoch_ = assertion_epoch_;
-        seeded_log_pos_ = log_size;
-      } else {
-        seeded_.reset();
-        result = status;
-      }
+      seeded_.reset();
+      result = status;
     }
-    if (seeded_.has_value()) {  // empty only when seeding just failed
-      result = core::IntegrateSeeded(catalog_, names, equivalence, *seeded_,
-                                     options_.integration);
-    }
+  }
+  if (seeded_.has_value()) {  // empty only when seeding just failed
+    result = core::IntegrateSeeded(catalog_, names, equivalence, *seeded_,
+                                   options_.integration);
   }
 
   integration_.reset();
@@ -438,12 +411,10 @@ Result<const core::IntegrationResult*> Engine::Integrate(
   integrated_equivalence_generation_ = equivalence_generation_;
   integrated_assertion_epoch_ = assertion_epoch_;
   integrated_log_pos_ = log_size;
-  if (!options_.binary_ladder) {
-    trace_.Count("integrate", "clusters_built",
-                 static_cast<int64_t>(integration_->object_clusters.size() +
-                                      integration_->relationship_clusters
-                                          .size()));
-  }
+  trace_.Count("integrate", "clusters_built",
+               static_cast<int64_t>(integration_->object_clusters.size() +
+                                    integration_->relationship_clusters
+                                        .size()));
   return &*integration_;
 }
 

@@ -26,15 +26,6 @@ namespace ecrint::engine {
 
 struct EngineOptions {
   core::IntegrationOptions integration;
-  // Reuse the seeded assertion closure across Integrate calls when only
-  // assertions were appended since it was built. FullRebuild() and setting
-  // this false are the escape hatches back to replay-everything behaviour.
-  bool incremental = true;
-  // Integrate by folding the schemas pairwise (the n-ary driver's binary
-  // ladder) instead of one n-ary run. Ladder runs never use the seeded
-  // closure, so this disables the incremental path; result caching by
-  // generation still applies.
-  bool binary_ladder = false;
 };
 
 // Versions of every Engine state plane, exported for copy-on-write snapshot
@@ -192,8 +183,8 @@ class Engine {
     if (seeded_.has_value()) totals += seeded_->closure_stats();
     return totals;
   }
-  // Independent constraint clusters in the live assertion store (the units
-  // the batch kernel can close in parallel).
+  // Independent constraint clusters in the live assertion store (closure
+  // never derives across one), reported as the closure.clusters gauge.
   int ClosureClusterCount() const { return assertions_.num_clusters(); }
 
   const std::vector<Diagnostic>& diagnostics() const { return diagnostics_; }

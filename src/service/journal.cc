@@ -7,8 +7,6 @@
 
 namespace ecrint::service {
 
-namespace {
-
 void PutU32Le(std::string& out, uint32_t v) {
   out.push_back(static_cast<char>(v & 0xFF));
   out.push_back(static_cast<char>((v >> 8) & 0xFF));
@@ -32,6 +30,8 @@ uint64_t GetU64Le(const char* p) {
   return static_cast<uint64_t>(GetU32Le(p)) |
          static_cast<uint64_t>(GetU32Le(p + 4)) << 32;
 }
+
+namespace {
 
 uint32_t RecordCrc(uint64_t seq, std::string_view payload) {
   std::string seq_bytes;
@@ -144,10 +144,15 @@ Result<std::unique_ptr<Journal>> Journal::Open(common::Fs* fs,
   return journal;
 }
 
-Status Journal::Append(std::string_view payload) {
+Status Journal::CheckOpen() const {
   if (file_ == nullptr) {
     return InternalError("journal unusable after failed rotation");
   }
+  return Status::Ok();
+}
+
+Status Journal::Append(std::string_view payload) {
+  ECRINT_RETURN_IF_ERROR(CheckOpen());
   std::string framed = EncodeJournalRecord(next_seq_, payload);
   ECRINT_RETURN_IF_ERROR(file_->Append(framed));
   ++next_seq_;
@@ -166,9 +171,7 @@ Status Journal::Append(std::string_view payload) {
 }
 
 Status Journal::AppendDeferred(std::string_view payload) {
-  if (file_ == nullptr) {
-    return InternalError("journal unusable after failed rotation");
-  }
+  ECRINT_RETURN_IF_ERROR(CheckOpen());
   std::string framed = EncodeJournalRecord(next_seq_, payload);
   ECRINT_RETURN_IF_ERROR(file_->Append(framed));
   ++next_seq_;
@@ -180,9 +183,7 @@ Status Journal::AppendDeferred(std::string_view payload) {
 
 Status Journal::CommitBatch() {
   if (policy_ == FsyncPolicy::kNever || since_sync_ == 0) return Status::Ok();
-  if (file_ == nullptr) {
-    return InternalError("journal unusable after failed rotation");
-  }
+  ECRINT_RETURN_IF_ERROR(CheckOpen());
   ECRINT_RETURN_IF_ERROR(file_->Sync());
   ++fsyncs_;
   since_sync_ = 0;
@@ -190,10 +191,8 @@ Status Journal::CommitBatch() {
 }
 
 Status Journal::SyncNow() {
+  ECRINT_RETURN_IF_ERROR(CheckOpen());
   if (since_sync_ == 0) return Status::Ok();
-  if (file_ == nullptr) {
-    return InternalError("journal unusable after failed rotation");
-  }
   ECRINT_RETURN_IF_ERROR(file_->Sync());
   ++fsyncs_;
   since_sync_ = 0;
@@ -201,6 +200,7 @@ Status Journal::SyncNow() {
 }
 
 Status Journal::Rotate() {
+  ECRINT_RETURN_IF_ERROR(CheckOpen());
   ECRINT_RETURN_IF_ERROR(file_->Close());
   file_.reset();
   ECRINT_RETURN_IF_ERROR(fs_->Truncate(path_, 0));

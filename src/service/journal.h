@@ -26,6 +26,14 @@ namespace ecrint::service {
 // strictly increasing across checkpoints, which is how recovery tells
 // pre-checkpoint leftovers (skip) from the suffix to replay.
 
+// Fixed-width little-endian integers, the byte order of every binary field
+// in the journal and checkpoint formats. The Get forms read from `p`
+// without bounds checks; callers check the length first.
+void PutU32Le(std::string& out, uint32_t v);
+void PutU64Le(std::string& out, uint64_t v);
+uint32_t GetU32Le(const char* p);
+uint64_t GetU64Le(const char* p);
+
 inline constexpr size_t kJournalHeaderBytes = 16;
 // Sanity cap on a single record; a corrupted length field must not make
 // the scanner trust (or a reader allocate) gigabytes.
@@ -121,6 +129,10 @@ class Journal {
       : fs_(fs), path_(std::move(path)), next_seq_(next_seq),
         policy_(policy), batch_records_(batch_records < 1 ? 1
                                                           : batch_records) {}
+
+  // file_ is null only after a Rotate that failed past its Close; from then
+  // on every operation reports the journal unusable.
+  Status CheckOpen() const;
 
   common::Fs* fs_;
   std::string path_;

@@ -288,9 +288,10 @@ class NetServer {
   Gauge* connections_gauge_ = nullptr;
 };
 
-// EINTR-safe full-buffer send with MSG_NOSIGNAL: the blocking-path sibling
-// of OutputQueue::Flush, used by the replication handoff (and exposed for
-// other blocking writers). False when the peer is gone.
+// EINTR-safe full-buffer send with MSG_NOSIGNAL (a vanished peer fails the
+// send instead of raising SIGPIPE): the blocking-path sibling of
+// OutputQueue::Flush, used by the replication handoff and the follower's
+// subscribe. False when the peer is gone.
 bool SendAll(int fd, std::string_view bytes);
 
 }  // namespace ecrint::service

@@ -164,15 +164,14 @@ Result<ServiceResponse> ParseResponse(std::string_view wire) {
 // Binary framing (protocol v2).
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// Frames `body` with its varint length prefix.
 std::string FrameBody(std::string body) {
   std::string out;
   PutVarint(out, body.size());
   out += body;
   return out;
 }
+
+namespace {
 
 void EncodeRequestPayload(const BinaryRequest& request, std::string& out) {
   out.push_back(static_cast<char>(request.verb));

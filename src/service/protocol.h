@@ -171,6 +171,9 @@ const char* WireVerbName(WireVerb verb);
 void PutVarint(std::string& out, uint64_t value);
 bool GetVarint(std::string_view& in, uint64_t& value);
 
+// Frames `body` with its varint length prefix: one complete binary frame.
+std::string FrameBody(std::string body);
+
 // Length-prefixed byte string append / consume.
 void PutLpString(std::string& out, std::string_view bytes);
 bool GetLpString(std::string_view& in, std::string_view& bytes);

@@ -27,30 +27,6 @@ Result<int64_t> ParseInt64(const std::string& token) {
   return static_cast<int64_t>(value);
 }
 
-void PutU32Le(std::string& out, uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out.push_back(static_cast<char>((v >> 24) & 0xFF));
-}
-
-void PutU64Le(std::string& out, uint64_t v) {
-  PutU32Le(out, static_cast<uint32_t>(v & 0xFFFFFFFFu));
-  PutU32Le(out, static_cast<uint32_t>(v >> 32));
-}
-
-uint32_t GetU32Le(const char* p) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
-}
-
-uint64_t GetU64Le(const char* p) {
-  return static_cast<uint64_t>(GetU32Le(p)) |
-         static_cast<uint64_t>(GetU32Le(p + 4)) << 32;
-}
-
 // The checkpoint header both formats share: v1 writes it between its magic
 // line and %project, v2 stores it as the META section. Lines: seq, the
 // optional epoch, stamp, and the optional integrated line.

@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "common/checksum.h"
+#include "service/net.h"
 #include "service/recovery.h"
 
 namespace ecrint::service {
@@ -30,13 +31,6 @@ uint64_t ZigZag(int64_t n) {
 
 int64_t UnZigZag(uint64_t v) {
   return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
-}
-
-std::string FrameBody(std::string body) {
-  std::string out;
-  PutVarint(out, body.size());
-  out += body;
-  return out;
 }
 
 void Bump(Counter* counter, int64_t delta = 1) {
@@ -622,20 +616,6 @@ int ConnectLeader(const std::string& addr) {
   return fd;
 }
 
-// MSG_NOSIGNAL: a leader that vanishes mid-write must fail the send, not
-// raise SIGPIPE (library code cannot assume the process ignores it).
-bool WriteAll(int fd, std::string_view bytes) {
-  while (!bytes.empty()) {
-    ssize_t n = send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    bytes.remove_prefix(static_cast<size_t>(n));
-  }
-  return true;
-}
-
 }  // namespace
 
 ReplicationClient::ReplicationClient(IntegrationService* service,
@@ -693,7 +673,7 @@ bool ReplicationClient::RunOnce(const std::atomic<bool>& stop,
   bool progressed = false;
   auto stream = [&]() {
     // Negotiate the binary protocol in text, like any v2 client.
-    if (!WriteAll(fd, "proto 2\n")) return;
+    if (!SendAll(fd, "proto 2\n")) return;
     std::string text;
     char chunk[512];
     while (!stop.load(std::memory_order_relaxed)) {
@@ -713,7 +693,7 @@ bool ReplicationClient::RunOnce(const std::atomic<bool>& stop,
     // dialed: a deposed leader hearing our higher epoch must be pointed at
     // the node that announced it, not redirected back at itself.
     subscribe.leader_hint = follower.epoch_source();
-    if (!WriteAll(fd, EncodeReplSubscribe(subscribe))) return;
+    if (!SendAll(fd, EncodeReplSubscribe(subscribe))) return;
 
     std::string buffer;
     while (!stop.load(std::memory_order_relaxed)) {

@@ -165,8 +165,7 @@ struct ServiceConfig {
 // republishes an immutable EngineSnapshot. Readers (rank / suggest /
 // translate / outline) never touch the engine: they grab the current
 // snapshot shared_ptr and compute from it, so any number run concurrently
-// — on client threads or common::ThreadPool workers — while a writer is
-// mid-mutation.
+// on client threads while a writer is mid-mutation.
 //
 // Every request passes admission control (bounded in-flight count,
 // per-request deadline) and charges a per-verb latency histogram plus

@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/assertion_store.h"
 #include "core/object_ref.h"
 
@@ -322,21 +321,20 @@ TEST_P(ClosurePropertyTest, DeltaEqualsFullRebuildAtEveryPrefix) {
   World world = MakeWorld(GetParam() ^ 0xde17a, 8);
   std::mt19937_64 rng(GetParam() * 31 + 5);
   std::vector<Assertion> ops = RandomSequence(world, rng, 24);
-  common::ThreadPool pool(3);
 
   AssertionStore incremental;  // grows one Assert at a time
   std::vector<Assertion> accepted;
   for (const Assertion& op : ops) {
     if (incremental.Assert(op).ok()) accepted.push_back(op);
 
-    // Full rebuild of the accepted prefix, sequentially and batched
-    // (cluster-parallel when the prefix spans components).
+    // Full rebuild of the accepted prefix, one Assert at a time and as one
+    // AssertBatch.
     AssertionStore replay;
     for (const Assertion& keep : accepted) {
       ASSERT_TRUE(replay.Assert(keep).ok());
     }
     AssertionStore batched;
-    ASSERT_TRUE(batched.AssertBatch(accepted, &pool).ok());
+    ASSERT_TRUE(batched.AssertBatch(accepted).ok());
 
     ASSERT_EQ(incremental.user_assertions(), replay.user_assertions());
     ASSERT_EQ(incremental.user_assertions(), batched.user_assertions());
@@ -355,9 +353,9 @@ TEST_P(ClosurePropertyTest, DeltaEqualsFullRebuildAtEveryPrefix) {
 }
 
 TEST_P(ClosurePropertyTest, MultiComponentBatchMatchesSequential) {
-  // Three islands of objects with no cross-island assertions: the batch
-  // kernel closes them on separate workers; results must be identical to
-  // the sequential replay, including derivation provenance.
+  // Three islands of objects with no cross-island assertions, asserted as
+  // one shuffled batch: the store must count three clusters and match the
+  // one-at-a-time replay, including derivation provenance.
   std::mt19937_64 rng(GetParam() * 2654435761u);
   std::uniform_int_distribution<unsigned> pick(1, (1u << kUniverse) - 1);
   std::vector<unsigned> sets;
@@ -381,24 +379,21 @@ TEST_P(ClosurePropertyTest, MultiComponentBatchMatchesSequential) {
   }
   std::shuffle(batch.begin(), batch.end(), rng);
 
-  common::ThreadPool pool(3);
-  AssertionStore parallel;
-  ASSERT_TRUE(parallel.AssertBatch(batch, &pool).ok());
-  EXPECT_GT(parallel.closure_stats().batch_parallel_runs, 0)
-      << "three islands should have taken the clustered path";
-  EXPECT_EQ(parallel.num_clusters(), kIslands);
+  AssertionStore batched;
+  ASSERT_TRUE(batched.AssertBatch(batch).ok());
+  EXPECT_EQ(batched.num_clusters(), kIslands);
 
   AssertionStore sequential;
   for (const Assertion& op : batch) {
     ASSERT_TRUE(sequential.Assert(op).ok());
   }
-  ASSERT_EQ(parallel.user_assertions(), sequential.user_assertions());
+  ASSERT_EQ(batched.user_assertions(), sequential.user_assertions());
   for (const ObjectRef& a : refs) {
     for (const ObjectRef& b : refs) {
-      ASSERT_EQ(parallel.PossibleRelations(a, b),
+      ASSERT_EQ(batched.PossibleRelations(a, b),
                 sequential.PossibleRelations(a, b))
           << a.ToString() << "/" << b.ToString();
-      EXPECT_EQ(parallel.SupportingAssertions(a, b),
+      EXPECT_EQ(batched.SupportingAssertions(a, b),
                 sequential.SupportingAssertions(a, b))
           << "provenance diverged at " << a.ToString() << "/"
           << b.ToString();

@@ -361,7 +361,7 @@ std::vector<std::string> AllReplicationFrames() {
           EncodeReplStamp(stamp), EncodeReplError("leader refused")};
 }
 
-std::string_view FrameBody(const std::string& frame) {
+std::string_view UnframeBody(const std::string& frame) {
   std::string_view body;
   size_t consumed = 0;
   std::string error;
@@ -378,7 +378,7 @@ TEST(ReplicationFuzzTest, FramesRoundTripWithEpochFields) {
   subscribe.epoch = 7;
   subscribe.leader_hint = "10.0.0.9:7400";
   Result<ReplFrame> sub =
-      DecodeReplFrame(FrameBody(EncodeReplSubscribe(subscribe)));
+      DecodeReplFrame(UnframeBody(EncodeReplSubscribe(subscribe)));
   ASSERT_TRUE(sub.ok()) << sub.status().message();
   EXPECT_EQ(sub->subscribe.project, "alpha");
   EXPECT_EQ(sub->subscribe.have_seq, 12345u);
@@ -391,7 +391,7 @@ TEST(ReplicationFuzzTest, FramesRoundTripWithEpochFields) {
   hello.total_bytes = 1 << 20;
   hello.crc = 0xDEADBEEF;
   hello.epoch = 3;
-  Result<ReplFrame> hi = DecodeReplFrame(FrameBody(EncodeReplHello(hello)));
+  Result<ReplFrame> hi = DecodeReplFrame(UnframeBody(EncodeReplHello(hello)));
   ASSERT_TRUE(hi.ok()) << hi.status().message();
   EXPECT_TRUE(hi->hello.has_checkpoint);
   EXPECT_EQ(hi->hello.seq, 99u);
@@ -400,7 +400,7 @@ TEST(ReplicationFuzzTest, FramesRoundTripWithEpochFields) {
   ReplStamp stamp;
   stamp.seq = 100;
   stamp.epoch = 9;
-  Result<ReplFrame> st = DecodeReplFrame(FrameBody(EncodeReplStamp(stamp)));
+  Result<ReplFrame> st = DecodeReplFrame(UnframeBody(EncodeReplStamp(stamp)));
   ASSERT_TRUE(st.ok()) << st.status().message();
   EXPECT_EQ(st->stamp.seq, 100u);
   EXPECT_EQ(st->stamp.epoch, 9u);
@@ -438,14 +438,14 @@ TEST(ReplicationFuzzTest, TruncationAtEveryByteIsClean) {
       std::string error;
       EXPECT_EQ(ExtractFrame(frame.substr(0, cut), &body, &consumed, &error),
                 FrameStatus::kNeedMore)
-          << "frame type " << static_cast<int>(FrameBody(frame)[0])
+          << "frame type " << static_cast<int>(UnframeBody(frame)[0])
           << " cut at " << cut;
     }
     // Body-level truncation: every proper prefix is missing a field or
     // ends mid-varint/mid-string — a clean decode error, never a crash or
     // a silently short frame — EXCEPT the exact lengths where the prefix
     // IS the complete pre-epoch frame, which must decode with epoch 0.
-    std::string body(FrameBody(frame));
+    std::string body(UnframeBody(frame));
     const std::set<size_t> legacy = LegacyCompleteLengths(body);
     for (size_t cut = 0; cut < body.size(); ++cut) {
       Result<ReplFrame> decoded =
@@ -519,7 +519,7 @@ TEST(ReplicationFuzzTest, OverlongVarintInBodyIsRejected) {
 
 TEST(ReplicationFuzzTest, TrailingGarbageAfterFieldsIsRejected) {
   for (const std::string& frame : AllReplicationFrames()) {
-    std::string body(FrameBody(frame));
+    std::string body(UnframeBody(frame));
     body += "extra";
     EXPECT_FALSE(DecodeReplFrame(body).ok())
         << "frame type " << static_cast<int>(body[0]);

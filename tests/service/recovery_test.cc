@@ -714,6 +714,77 @@ TEST(RecoveryFaultTest, CheckpointWriteFailureIsNonFatal) {
             0);
 }
 
+// A MemFs whose first Truncate fails. On a fresh project the only Truncate
+// is the journal rotation after a checkpoint, so that rotation dies after
+// closing the old append handle and before opening the new one.
+class TruncateFailsOnceFs : public common::Fs {
+ public:
+  Result<std::unique_ptr<common::WritableFile>> OpenAppend(
+      const std::string& path) override {
+    return base_.OpenAppend(path);
+  }
+  Result<std::string> ReadFileToString(const std::string& path) override {
+    return base_.ReadFileToString(path);
+  }
+  Status WriteFileAtomic(const std::string& path,
+                         std::string_view content) override {
+    return base_.WriteFileAtomic(path, content);
+  }
+  Status Truncate(const std::string& path, uint64_t size) override {
+    if (!failed_) {
+      failed_ = true;
+      return InternalError("injected truncate failure");
+    }
+    return base_.Truncate(path, size);
+  }
+  Status Remove(const std::string& path) override {
+    return base_.Remove(path);
+  }
+  Status CreateDirs(const std::string& path) override {
+    return base_.CreateDirs(path);
+  }
+  bool Exists(const std::string& path) override { return base_.Exists(path); }
+
+  bool failed() const { return failed_; }
+
+ private:
+  common::MemFs base_;
+  bool failed_ = false;
+};
+
+// A checkpoint whose journal rotation failed leaves no append handle. A
+// later checkpoint (here the SIGTERM drain's CheckpointProjects) must
+// report the journal unusable instead of closing the missing handle, and
+// the next write degrades the project.
+TEST(RecoveryFaultTest, CheckpointAfterFailedRotationReportsUnusableJournal) {
+  TruncateFailsOnceFs fs;
+  ServiceConfig config;
+  config.data_dir = "data";
+  config.fs = &fs;
+  config.durability.checkpoint_interval_records = 2;
+  IntegrationService service(config);
+  std::string session = service.OpenSession("uni");
+  std::vector<engine::ReplayVerb> verbs = ScriptVerbs();
+
+  // Write until the interval checkpoint has run and its rotation failed.
+  size_t next = 0;
+  while (!fs.failed() && next < verbs.size()) {
+    (void)Drive(service, session, verbs[next++]);
+  }
+  ASSERT_TRUE(fs.failed()) << "no checkpoint rotation ran";
+  ASSERT_LT(next, verbs.size());
+
+  EXPECT_EQ(service.CheckpointProjects(), 0);
+  EXPECT_GE(
+      service.metrics().GetCounter("journal.checkpoint_failures")->value(),
+      1);
+
+  ServiceResponse after = Drive(service, session, verbs[next]);
+  ASSERT_FALSE(after.ok());
+  EXPECT_EQ(after.error->code, ServiceErrorCode::kUnavailable);
+  EXPECT_TRUE(service.Execute(session, ExportCmd()).ok());
+}
+
 // Recovery itself bumps the metrics the operators watch.
 TEST(RecoveryTest, RecoveryMetricsAreCharged) {
   common::MemFs fs;

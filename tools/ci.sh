@@ -4,7 +4,7 @@
 #   asan     Debug + ASan/UBSan + full ctest (lifetime and UB bugs the
 #            optimizer hides)
 #   tsan     Debug + ThreadSanitizer, running the concurrency surfaces —
-#            thread pool, engine, and the whole service plane (snapshot
+#            clock, engine, and the whole service plane (snapshot
 #            publication, admission control, the stress test) — as direct
 #            gtest binaries (build-ci-tsan/)
 #   recovery Debug + ASan/UBSan, running the durability surfaces — the
@@ -20,9 +20,10 @@
 #            diskless) over real sockets: snapshot bootstrap, identical
 #            exports everywhere, NOT_LEADER redirects, kill -9 of the
 #            leader mid-stream, and reconvergence after its restart.
-#   bench    Release build of perf_closure and perf_engine, short sweep of
-#            the closure kernel, then BM_AssertChain/64 compared against the
-#            recorded number in BENCH_resemblance.json and
+#   bench    Release build of the recorded perf sweeps, run through
+#            bench/run_benches.sh exactly as when recording (into scratch
+#            files), then BM_AssertChain/64 compared against the recorded
+#            number in BENCH_resemblance.json and
 #            BM_EngineIncrementalEdit/250 against BENCH_engine.json: fail
 #            on >2x regression of either,
 #            plus the mixed-throughput number in BENCH_service.json
@@ -147,7 +148,7 @@ run_tsan_suite() {
   echo "=== tsan: run" >&2
   # halt_on_error makes a single race fail the suite instead of scrolling by.
   TSAN_OPTIONS="halt_on_error=1" \
-    "${build_dir}/tests/common_test" --gtest_filter='ThreadPool*:*Clock*:*Stopwatch*'
+    "${build_dir}/tests/common_test" --gtest_filter='*Clock*:*Stopwatch*'
   TSAN_OPTIONS="halt_on_error=1" "${build_dir}/tests/engine_test"
   TSAN_OPTIONS="halt_on_error=1" "${build_dir}/tests/service_test"
   cleanup "${build_dir}"
@@ -1257,20 +1258,19 @@ PY
 run_bench_suite() {
   local build_dir="${repo_root}/build-ci-bench"
   echo "=== bench: configure + build (Release)" >&2
-  configure_and_build "${build_dir}" perf_closure perf_engine -- \
-    -DCMAKE_BUILD_TYPE=Release
-  echo "=== bench: BM_AssertChain sweep" >&2
-  local report="${build_dir}/bench_smoke.json"
-  "${build_dir}/bench/perf_closure" \
-    --benchmark_filter='BM_AssertChain' \
-    --benchmark_format=json >"${report}"
+  configure_and_build "${build_dir}" perf_resemblance perf_closure \
+    perf_engine engine_trace -- -DCMAKE_BUILD_TYPE=Release
+  # The fresh numbers come from the same invocation that records
+  # BENCH_resemblance.json and BENCH_engine.json (full sweeps at the default
+  # min time, written to scratch files): a filtered sweep of one benchmark
+  # reads systematically slower than the full run it is compared against.
+  echo "=== bench: run_benches.sh sweep" >&2
+  local report="${build_dir}/bench_resemblance.json"
+  local engine_report="${build_dir}/bench_engine.json"
+  "${repo_root}/bench/run_benches.sh" --build-dir "${build_dir}" \
+    --out "${report}" --engine-out "${engine_report}" >/dev/null
   gate_recorded_bench "${report}" "${repo_root}/BENCH_resemblance.json" \
     "BM_AssertChain/64"
-  echo "=== bench: BM_EngineIncrementalEdit/250" >&2
-  local engine_report="${build_dir}/bench_engine.json"
-  "${build_dir}/bench/perf_engine" \
-    --benchmark_filter='BM_EngineIncrementalEdit/250$' \
-    --benchmark_format=json >"${engine_report}"
   gate_recorded_bench "${engine_report}" "${repo_root}/BENCH_engine.json" \
     "BM_EngineIncrementalEdit/250"
   echo "=== bench: service mixed-throughput gate" >&2

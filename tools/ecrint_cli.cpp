@@ -18,11 +18,13 @@
 
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/strings.h"
+#include "core/nary.h"
 #include "core/project_io.h"
 #include "core/resemblance.h"
 #include "ecr/ddl_parser.h"
@@ -173,13 +175,14 @@ int CmdIntegrate(const std::vector<std::string>& args) {
                  "[--name <n>] [--mappings] [--trace]\n";
     return 2;
   }
+  bool ladder = false;
   bool show_mappings = false;
   bool trace = false;
   engine::EngineOptions options;
   std::string path = args[0];
   for (size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--ladder") {
-      options.binary_ladder = true;
+      ladder = true;
     } else if (args[i] == "--mappings") {
       show_mappings = true;
     } else if (args[i] == "--trace") {
@@ -196,7 +199,26 @@ int CmdIntegrate(const std::vector<std::string>& args) {
   engine::Engine engine(options);
   Status imported = engine.ImportProject(*std::move(project));
   if (!imported.ok()) return Fail(imported);
-  Result<const core::IntegrationResult*> integrated = engine.Integrate();
+  // --ladder folds the imported schemas pairwise (the n-ary driver's binary
+  // ladder) instead of one n-ary run.
+  std::optional<core::IntegrationResult> folded;
+  Result<const core::IntegrationResult*> integrated = InternalError("unset");
+  if (ladder) {
+    Result<core::IntegrationResult> rungs = core::IntegrateBinaryLadder(
+        engine.catalog(), engine.catalog().SchemaNames(), engine.equivalence(),
+        engine.assertions(), options.integration);
+    if (!rungs.ok()) {
+      std::cerr << engine::StatusDiagnostic("integration-failed",
+                                            rungs.status())
+                       .ToString()
+                << "\n";
+      return Fail(rungs.status());
+    }
+    folded = *std::move(rungs);
+    integrated = &*folded;
+  } else {
+    integrated = engine.Integrate();
+  }
   if (!integrated.ok()) {
     // The engine's structured diagnostic carries the derivation chain.
     for (const engine::Diagnostic& diagnostic : engine.diagnostics()) {
