@@ -1,6 +1,7 @@
 // Runs the full pipeline plus one incremental edit round on the 250-class
 // workload and prints the Engine's phase trace as JSON on stdout (all
-// diagnostics go to stderr). bench/run_benches.sh embeds the JSON into
+// diagnostics go to stderr), with the last, incremental Integrate's share
+// of it under "incremental_edit". bench/run_benches.sh embeds the JSON into
 // BENCH_engine.json so the recorded numbers carry the phase breakdown and
 // the cache-hit/recompute counters alongside the wall times.
 
@@ -54,7 +55,23 @@ int main() {
   if (!engine.AssertRelation(edit.first, edit.second, edit.type).ok()) {
     return 1;
   }
+  engine::PhaseTrace before = engine.trace();
   if (!engine.Integrate().ok()) return 1;
+
+  // The incremental Integrate on its own: what it added to each phase.
+  engine::PhaseTrace edit_trace;
+  for (const auto& [name, stats] : engine.trace().phases()) {
+    auto prior = before.phases().find(name);
+    engine::PhaseStats earlier =
+        prior == before.phases().end() ? engine::PhaseStats{} : prior->second;
+    if (stats.calls == earlier.calls) continue;
+    edit_trace.Charge(name, stats.wall_ns - earlier.wall_ns,
+                      stats.calls - earlier.calls);
+    for (const auto& [counter, value] : stats.counters) {
+      int64_t delta = value - earlier.counters[counter];
+      if (delta != 0) edit_trace.Count(name, counter, delta);
+    }
+  }
 
   const auto& phases = engine.trace().phases();
   auto integrate = phases.find("integrate");
@@ -64,6 +81,10 @@ int main() {
     return 1;
   }
   std::cerr << "SHAPE OK: incremental path exercised\n";
-  std::cout << engine.TraceJson() << "\n";
+  // {"phases": {...whole run...}, "incremental_edit": {"phases": {...}}}
+  std::string json = engine.TraceJson();
+  json.pop_back();
+  std::cout << json << ", \"incremental_edit\": " << edit_trace.ToJson()
+            << "}\n";
   return 0;
 }

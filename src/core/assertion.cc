@@ -47,10 +47,6 @@ SetRelation RelationOf(AssertionType type) {
   return SetRelation::kDisjoint;
 }
 
-bool IsIntegrating(AssertionType type) {
-  return type != AssertionType::kDisjointNonintegrable;
-}
-
 AssertionType ConverseAssertion(AssertionType type) {
   switch (type) {
     case AssertionType::kContainedIn:

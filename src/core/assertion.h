@@ -34,7 +34,9 @@ SetRelation RelationOf(AssertionType type);
 
 // Whether the assertion connects its pair into one integration cluster
 // (everything except disjoint-nonintegrable does).
-bool IsIntegrating(AssertionType type);
+inline bool IsIntegrating(AssertionType type) {
+  return type != AssertionType::kDisjointNonintegrable;
+}
 
 // The same assertion viewed from the other side (contains <-> contained-in).
 AssertionType ConverseAssertion(AssertionType type);

@@ -311,6 +311,7 @@ Result<ConflictReport> AssertionStore::Assert(const Assertion& assertion) {
   BeginTxn();
   int32_t assertion_id = static_cast<int32_t>(user_assertions_.size());
   user_assertions_.push_back(assertion);
+  user_types_.push_back(assertion.type);
 
   int a = std::min(i, j);
   int b = std::max(i, j);
@@ -337,6 +338,7 @@ Result<ConflictReport> AssertionStore::Assert(const Assertion& assertion) {
     ++stats_.conflicts;
     Rollback();
     user_assertions_.pop_back();
+    user_types_.pop_back();
     ConflictReport report = ReportFor(ci, cj);  // post-rollback == before
     report.attempted = assertion;
     last_conflict_ = std::move(report);
@@ -412,26 +414,12 @@ int AssertionStore::IdOf(const ObjectRef& ref) const {
 Result<SetRelation> AssertionStore::EstablishedRelation(
     const ObjectRef& first, const ObjectRef& second) const {
   RelationSet possible = PossibleRelations(first, second);
-  if (RelationCount(possible) != 1) {
+  if (!IsSingleton(possible)) {
     return NotFoundError("relation between '" + first.ToString() + "' and '" +
                          second.ToString() + "' is not established (" +
                          RelationSetToString(possible) + ")");
   }
   return TheRelation(possible);
-}
-
-bool AssertionStore::IsIntegrating(int first, int second) const {
-  if (first < 0 || second < 0) return false;
-  int32_t direct = direct_[NormCell(first, second)];
-  if (direct >= 0) {
-    return core::IsIntegrating(user_assertions_[direct].type);
-  }
-  // Derived-only: integrate when pinned to a non-disjoint relation. A
-  // derived disjointness never connects a cluster (nobody asked for a
-  // generalization over the pair).
-  RelationSet possible = rel_[Cell(first, second)];
-  return RelationCount(possible) == 1 &&
-         TheRelation(possible) != SetRelation::kDisjoint;
 }
 
 std::vector<AssertionStore::DerivedFact> AssertionStore::DerivedFacts()
@@ -441,7 +429,7 @@ std::vector<AssertionStore::DerivedFact> AssertionStore::DerivedFacts()
     for (int j = i + 1; j < num_objects(); ++j) {
       int64_t cn = Cell(i, j);
       if (direct_[cn] >= 0) continue;
-      if (RelationCount(rel_[cn]) != 1) continue;
+      if (!IsSingleton(rel_[cn])) continue;
       std::vector<int32_t> support = ExpandSupportIds(i, j);
       if (support.empty()) continue;  // trivial (e.g. Constrain-pinned)
       DerivedFact fact;

@@ -139,7 +139,13 @@ class AssertionStore {
   // relations; false for disjoint-nonintegrable and for pairs whose only
   // established relation is a *derived* disjointness (the DDA never asked
   // to generalize them). False when either id is -1.
-  bool IsIntegrating(int first, int second) const;
+  bool IsIntegrating(int first, int second) const {
+    if (first < 0 || second < 0) return false;
+    int32_t direct = direct_[NormCell(first, second)];
+    if (direct >= 0) return core::IsIntegrating(user_types_[direct]);
+    RelationSet possible = rel_[Cell(first, second)];
+    return IsSingleton(possible) && possible != MaskOf(SetRelation::kDisjoint);
+  }
   bool IsIntegrating(const ObjectRef& first, const ObjectRef& second) const {
     return IsIntegrating(IdOf(first), IdOf(second));
   }
@@ -147,6 +153,10 @@ class AssertionStore {
   // All user assertions, in entry order.
   const std::vector<Assertion>& user_assertions() const {
     return user_assertions_;
+  }
+  // Their types alone, so scans by type stay in a compact array.
+  const std::vector<AssertionType>& user_assertion_types() const {
+    return user_types_;
   }
 
   // Pairs pinned to a single relation by derivation only (Screen 9's
@@ -261,6 +271,7 @@ class AssertionStore {
   std::vector<DerivRecord> deriv_pool_;
 
   std::vector<Assertion> user_assertions_;
+  std::vector<AssertionType> user_types_;  // user_assertions_[i].type
 
   // Worklist of narrowed (normalized) cells, drained FIFO; queued_ prevents
   // duplicate entries.

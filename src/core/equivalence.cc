@@ -98,19 +98,25 @@ int EquivalenceMap::Find(int index) const {
   return index;
 }
 
-Result<int> EquivalenceMap::IndexOf(const ecr::AttributePath& path) const {
-  int id = attribute_index_.Find(
+int EquivalenceMap::IdOf(const ecr::AttributePath& path) const {
+  return attribute_index_.Find(
       HashPath(path), [&](int i) { return entries_[i].path == path; });
+}
+
+std::pair<int, int> EquivalenceMap::IdRange(const ObjectRef& object) const {
+  int s = structure_index_.Find(
+      HashRef(object), [&](int i) { return structures_[i].ref == object; });
+  if (s < 0) return {0, 0};
+  return {structures_[s].begin, structures_[s].end};
+}
+
+Result<int> EquivalenceMap::IndexOf(const ecr::AttributePath& path) const {
+  int id = IdOf(path);
   if (id < 0) {
     return NotFoundError("attribute '" + path.ToString() +
                          "' is not registered");
   }
   return id;
-}
-
-int EquivalenceMap::StructureIndexOf(const ObjectRef& ref) const {
-  return structure_index_.Find(
-      HashRef(ref), [&](int i) { return structures_[i].ref == ref; });
 }
 
 Status EquivalenceMap::DeclareEquivalent(const ecr::AttributePath& a,
@@ -195,20 +201,15 @@ bool EquivalenceMap::AreEquivalent(const ecr::AttributePath& a,
 
 int EquivalenceMap::EquivalentAttributeCount(const ObjectRef& a,
                                              const ObjectRef& b) const {
-  int sa = StructureIndexOf(a);
-  int sb = StructureIndexOf(b);
-  if (sa < 0 || sb < 0) return 0;
+  auto [a_first, a_last] = IdRange(a);
+  auto [b_first, b_last] = IdRange(b);
   // Merge the two sorted root lists; a root shared k_a · k_b times counts
   // k_a · k_b equivalent pairs. O((|A|+|B|) log) instead of O(|A|·|B|).
   std::vector<int> roots_a, roots_b;
-  roots_a.reserve(structures_[sa].end - structures_[sa].begin);
-  roots_b.reserve(structures_[sb].end - structures_[sb].begin);
-  for (int i = structures_[sa].begin; i < structures_[sa].end; ++i) {
-    roots_a.push_back(Find(i));
-  }
-  for (int j = structures_[sb].begin; j < structures_[sb].end; ++j) {
-    roots_b.push_back(Find(j));
-  }
+  roots_a.reserve(a_last - a_first);
+  roots_b.reserve(b_last - b_first);
+  for (int i = a_first; i < a_last; ++i) roots_a.push_back(Find(i));
+  for (int j = b_first; j < b_last; ++j) roots_b.push_back(Find(j));
   std::sort(roots_a.begin(), roots_a.end());
   std::sort(roots_b.begin(), roots_b.end());
   int count = 0;
@@ -231,13 +232,11 @@ int EquivalenceMap::EquivalentAttributeCount(const ObjectRef& a,
 
 std::vector<AttributeClassEntry> EquivalenceMap::EntriesFor(
     const ObjectRef& object) const {
+  auto [first, last] = IdRange(object);
   std::vector<AttributeClassEntry> out;
-  int s = StructureIndexOf(object);
-  if (s < 0) return out;
-  out.reserve(structures_[s].end - structures_[s].begin);
-  for (int index = structures_[s].begin; index < structures_[s].end;
-       ++index) {
-    out.push_back({entries_[index].path, min_id_[Find(index)] + 1});
+  out.reserve(last - first);
+  for (int id = first; id < last; ++id) {
+    out.push_back({entries_[id].path, min_id_[Find(id)] + 1});
   }
   return out;
 }
@@ -291,14 +290,10 @@ std::vector<ecr::AttributePath> EquivalenceMap::ClassMembers(
 
 std::vector<ecr::AttributePath> EquivalenceMap::AttributesOf(
     const ObjectRef& object) const {
+  auto [first, last] = IdRange(object);
   std::vector<ecr::AttributePath> out;
-  int s = StructureIndexOf(object);
-  if (s < 0) return out;
-  out.reserve(structures_[s].end - structures_[s].begin);
-  for (int index = structures_[s].begin; index < structures_[s].end;
-       ++index) {
-    out.push_back(entries_[index].path);
-  }
+  out.reserve(last - first);
+  for (int id = first; id < last; ++id) out.push_back(entries_[id].path);
   return out;
 }
 

@@ -91,6 +91,13 @@ class EquivalenceMap {
   // Attributes registered for a structure, in declaration order.
   std::vector<ecr::AttributePath> AttributesOf(const ObjectRef& object) const;
 
+  // The interned id of `path`, or -1 when it is not registered.
+  int IdOf(const ecr::AttributePath& path) const;
+
+  // The id range [first, second) registered for a structure's attributes,
+  // in declaration order; empty when the structure is unknown.
+  std::pair<int, int> IdRange(const ObjectRef& object) const;
+
   // The path of an interned attribute id (ids are dense, 0-based, in
   // registration order).
   const ecr::AttributePath& PathAt(int id) const { return entries_[id].path; }
@@ -120,7 +127,6 @@ class EquivalenceMap {
   int Find(int index) const;  // union-find root with path compression
 
   Result<int> IndexOf(const ecr::AttributePath& path) const;
-  int StructureIndexOf(const ObjectRef& ref) const;  // -1 if unknown
 
   // `hash` must equal AttributePathHash{}(path); Create precomputes the
   // structure prefix once per structure.

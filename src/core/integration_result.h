@@ -7,10 +7,16 @@
 #include "common/result.h"
 #include "ecr/attribute.h"
 #include "ecr/schema.h"
-#include "core/cluster.h"
 #include "core/object_ref.h"
 
 namespace ecrint::core {
+
+// A group of structures connected by integrating assertions — the paper's
+// unit of integration work ("a cluster is a group of related objects that
+// are connected by any assertion except disjoint nonintegrable").
+struct Cluster {
+  std::vector<ObjectRef> members;  // sorted
+};
 
 // Provenance of one structure in the integrated schema: the component
 // structures that were merged into it (empty for D_-derived generalizations,

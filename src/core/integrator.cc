@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <map>
 #include <numeric>
 #include <set>
 
+#include "common/clock.h"
 #include "common/strings.h"
 #include "core/seeding.h"
 
@@ -21,6 +21,12 @@ namespace {
 // Length of the name fragments in generated names (D_Stud_Facu uses 4).
 constexpr int kFragmentLength = 4;
 
+// Union-find root of `x`, with path halving.
+int Find(std::vector<int>& parent, int x) {
+  while (parent[x] != x) x = parent[x] = parent[parent[x]];
+  return x;
+}
+
 // One node of the integrated lattice: an EQ-merged group of component
 // structures, or a D_-derived generalization introduced for an overlap /
 // disjoint-integrable pair.
@@ -31,6 +37,11 @@ struct Node {
   std::set<int> parents;  // full (pre-reduction) edge set, child -> parent
   std::vector<ecr::Attribute> attributes;  // filled by placement
 };
+
+bool HasAttribute(const Node& node, const std::string& name) {
+  return std::any_of(node.attributes.begin(), node.attributes.end(),
+                     [&](const ecr::Attribute& a) { return a.name == name; });
+}
 
 // Reachability facts of one node set, filled by a single DFS over the parent
 // edges: ancestors-or-self as one bitset row per node, depth (longest path
@@ -105,11 +116,26 @@ Result<Ancestry> ComputeAncestry(const std::vector<Node>& nodes) {
   return out;
 }
 
+// One component attribute of a lattice's universe, and where placement put
+// its representative.
+struct SourceAttribute {
+  const ecr::Attribute* attribute = nullptr;
+  int structure = -1;  // universe position of its owner
+  int id = -1;         // interned EquivalenceMap id; -1 when unregistered
+  int target = -1;     // node carrying the representative attribute
+  int slot = -1;       // its index in that node's attributes
+};
+
 struct Lattice {
   std::vector<ObjectRef> universe;  // component structures, in order
   std::vector<int> node_of;         // universe position -> node
+  std::vector<int> cluster;         // cluster union-find, by position
   std::vector<Node> nodes;
   Ancestry ancestry;  // of the finished node set, D_ nodes included
+  // Component attributes by universe position: those of position m are
+  // sources[first_source[m] .. first_source[m + 1]), in declaration order.
+  std::vector<SourceAttribute> sources;
+  std::vector<int> first_source;
 };
 
 std::string Fragment(const std::string& name) {
@@ -133,7 +159,8 @@ std::string UniqueName(const std::string& candidate,
 // Builds the EQ-merged node set, subset edges and derived generalizations
 // for one structure kind. `universe` lists the component structures in
 // deterministic order; each is mapped to its store id once, and one scan
-// over the pairs by id classifies them all.
+// over the pairs by id classifies them all and joins the integrating pairs
+// into clusters.
 Result<Lattice> BuildLattice(std::vector<ObjectRef> universe,
                              const AssertionStore& store,
                              std::set<std::string>& used_names) {
@@ -148,38 +175,38 @@ Result<Lattice> BuildLattice(std::vector<ObjectRef> universe,
     if (id[i] >= 0) position[id[i]] = i;
   }
 
-  // Union-find over "equals" pairs; subset and overlap pairs are kept as
-  // universe positions until the nodes exist. The mirror cell is always the
-  // converse, so the i<j half covers both subset directions.
-  std::vector<int> parent(n);
-  std::iota(parent.begin(), parent.end(), 0);
-  auto find = [&](int x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
+  // Union-find over "equals" pairs and over integrating pairs (clusters);
+  // subset and overlap pairs are kept as universe positions until the nodes
+  // exist. The mirror cell is always the converse, so the i<j half covers
+  // both subset directions. Universe order groups each schema's structures,
+  // which keeps the store's per-pair branches predictable.
+  std::vector<int> equal(n);
+  std::iota(equal.begin(), equal.end(), 0);
+  lattice.cluster = equal;
   std::vector<std::pair<int, int>> subsets;  // (child, parent)
   std::vector<std::pair<int, int>> generalize;
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n; ++j) {
-      RelationSet r = store.PossibleRelations(id[i], id[j]);
-      if (RelationCount(r) != 1) continue;
-      switch (TheRelation(r)) {
-        case SetRelation::kEqual:
-          parent[std::max(find(i), find(j))] = std::min(find(i), find(j));
+      if (store.IsIntegrating(id[i], id[j])) {
+        lattice.cluster[Find(lattice.cluster, i)] = Find(lattice.cluster, j);
+      }
+      switch (store.PossibleRelations(id[i], id[j])) {
+        case MaskOf(SetRelation::kEqual): {
+          int x = Find(equal, i);
+          int y = Find(equal, j);
+          equal[std::max(x, y)] = std::min(x, y);
           break;
-        case SetRelation::kSubset:
+        }
+        case MaskOf(SetRelation::kSubset):
           subsets.push_back({i, j});
           break;
-        case SetRelation::kSuperset:
+        case MaskOf(SetRelation::kSuperset):
           subsets.push_back({j, i});
           break;
-        case SetRelation::kOverlap:
+        case MaskOf(SetRelation::kOverlap):
           generalize.push_back({i, j});
           break;
-        case SetRelation::kDisjoint:
+        default:  // disjoint, or not pinned down
           break;
       }
     }
@@ -187,8 +214,10 @@ Result<Lattice> BuildLattice(std::vector<ObjectRef> universe,
   // Any user disjoint-integrable assertion on a pair asks for a D_ node, in
   // either order and whatever was asserted on the pair after it. Assert
   // registers both operands, so their ids exist.
-  for (const Assertion& a : store.user_assertions()) {
-    if (a.type != AssertionType::kDisjointIntegrable) continue;
+  const std::vector<AssertionType>& types = store.user_assertion_types();
+  for (size_t k = 0; k < types.size(); ++k) {
+    if (types[k] != AssertionType::kDisjointIntegrable) continue;
+    const Assertion& a = store.user_assertions()[k];
     int first = store.IdOf(a.first);
     int second = store.IdOf(a.second);
     if (position[first] >= 0 && position[second] >= 0) {
@@ -200,7 +229,7 @@ Result<Lattice> BuildLattice(std::vector<ObjectRef> universe,
   std::vector<int> node_of_root(n, -1);
   lattice.node_of.resize(n);
   for (int i = 0; i < n; ++i) {
-    int& node = node_of_root[find(i)];
+    int& node = node_of_root[Find(equal, i)];
     if (node < 0) {
       node = static_cast<int>(lattice.nodes.size());
       lattice.nodes.emplace_back();
@@ -224,7 +253,6 @@ Result<Lattice> BuildLattice(std::vector<ObjectRef> universe,
   for (Node& node : lattice.nodes) {
     const ObjectRef& front = refs[node.members.front()];
     if (node.members.size() == 1) {
-      node.origin = ecr::ObjectOrigin::kComponent;
       if (!used_names.count(front.object)) {
         node.name = front.object;
         used_names.insert(node.name);
@@ -267,6 +295,28 @@ Result<Lattice> BuildLattice(std::vector<ObjectRef> universe,
   }
   ECRINT_ASSIGN_OR_RETURN(lattice.ancestry, ComputeAncestry(lattice.nodes));
   return lattice;
+}
+
+// The lattice's clusters from the integrating pairs its scan joined:
+// members sorted, clusters ordered by their smallest member. Walking the
+// universe in ObjectRef order opens each cluster at its smallest member.
+std::vector<Cluster> GroupClusters(Lattice& lattice) {
+  const std::vector<ObjectRef>& refs = lattice.universe;
+  std::vector<int> by_ref(refs.size());
+  std::iota(by_ref.begin(), by_ref.end(), 0);
+  std::sort(by_ref.begin(), by_ref.end(),
+            [&](int a, int b) { return refs[a] < refs[b]; });
+  std::vector<int> cluster_of_root(refs.size(), -1);
+  std::vector<Cluster> clusters;
+  for (int i : by_ref) {
+    int& c = cluster_of_root[Find(lattice.cluster, i)];
+    if (c < 0) {
+      c = static_cast<int>(clusters.size());
+      clusters.emplace_back();
+    }
+    clusters[c].members.push_back(refs[i]);
+  }
+  return clusters;
 }
 
 // Direct parents after transitive reduction: a parent reachable from
@@ -318,97 +368,143 @@ ecr::Domain MergeDomains(const ecr::Domain& a, const ecr::Domain& b) {
   return merged;
 }
 
-// Everything the placement pass needs to know about one component attribute.
-struct SourceAttribute {
-  ecr::AttributePath path;
-  ecr::Attribute attribute;
-  int node = -1;
-};
-
 // Derived-attribute name from its component names: D_<name> when all agree,
 // D_<frag>_<frag>... otherwise.
-std::string DerivedAttributeName(
-    const std::vector<SourceAttribute*>& members) {
+std::string DerivedAttributeName(const std::vector<SourceAttribute>& sources,
+                                 const std::vector<int>& members) {
   std::vector<std::string> names;
-  for (const SourceAttribute* m : members) {
-    if (std::find(names.begin(), names.end(), m->attribute.name) ==
-        names.end()) {
-      names.push_back(m->attribute.name);
+  for (int m : members) {
+    const std::string& name = sources[m].attribute->name;
+    if (std::find(names.begin(), names.end(), name) == names.end()) {
+      names.push_back(name);
     }
   }
   if (names.size() == 1) return "D_" + names.front();
   std::string out = "D";
-  for (const std::string& name : names) {
-    out += "_" + Fragment(name);
-  }
+  for (const std::string& name : names) out += "_" + Fragment(name);
   return out;
 }
 
-// Runs equivalence-class merging and attribute copying over one lattice.
-// Fills node.attributes, emits DerivedAttributeInfo records and the
-// per-source-attribute targets used by the mappings.
+// A category inherits its ancestors' attributes, so no name may repeat one
+// an ancestor carries. Walking parents first, a clashing name takes _x
+// suffixes until it is free of its ancestors' final names and of the names
+// before it on its own node.
+void ReserveInheritedNames(Lattice& lattice) {
+  const Ancestry& ancestry = lattice.ancestry;
+  for (int node : ancestry.order) {
+    std::vector<ecr::Attribute>& own = lattice.nodes[node].attributes;
+    auto taken = [&](size_t i) {
+      for (size_t j = 0; j < i; ++j) {
+        if (own[j].name == own[i].name) return true;
+      }
+      const uint64_t* row = ancestry.Row(node);
+      for (int w = 0; w < ancestry.words; ++w) {
+        for (uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+          int a = w * 64 + std::countr_zero(bits);
+          if (a != node && HasAttribute(lattice.nodes[a], own[i].name)) {
+            return true;
+          }
+        }
+      }
+      return false;
+    };
+    for (size_t i = 0; i < own.size(); ++i) {
+      while (taken(i)) own[i].name += "_x";
+    }
+  }
+}
+
+// Merges the members of each equivalence class (`classes`, as ids) found
+// among the lattice's `declared` attributes into one derived attribute at
+// their most specific common generalization, then copies every other
+// attribute onto its own node, renaming on collision; with `inherits`,
+// names are then reserved against ancestors.
 void PlaceAttributes(
-    Lattice& lattice, std::vector<SourceAttribute>& attributes,
+    Lattice& lattice,
+    const std::vector<const std::vector<ecr::Attribute>*>& declared,
     const EquivalenceMap& equivalence,
-    std::vector<DerivedAttributeInfo>& derived_out,
-    std::map<ecr::AttributePath, AttributeMapping>& target_out) {
-  // Group source attributes by equivalence class.
-  std::map<ecr::AttributePath, SourceAttribute*> by_path;
-  for (SourceAttribute& a : attributes) by_path[a.path] = &a;
-
-  std::set<const SourceAttribute*> consumed;
-  // Per-node used attribute names, to keep derived + copied names unique.
-  std::vector<std::set<std::string>> used(lattice.nodes.size());
-
-  for (const std::vector<ecr::AttributePath>& eq_class :
-       equivalence.NontrivialClasses()) {
-    std::vector<SourceAttribute*> members;
-    for (const ecr::AttributePath& path : eq_class) {
-      auto it = by_path.find(path);
-      if (it != by_path.end()) members.push_back(it->second);
+    const std::vector<std::vector<int>>& classes, bool inherits,
+    std::vector<DerivedAttributeInfo>& derived_out) {
+  std::vector<SourceAttribute>& sources = lattice.sources;
+  std::vector<int> source_of(equivalence.num_attributes(), -1);
+  lattice.first_source.assign(1, 0);
+  // A structure's ids are the contiguous range the map registered for it.
+  // A map built before the catalog last changed may not line up with the
+  // declaration; such attributes are looked up by path.
+  for (size_t m = 0; m < declared.size(); ++m) {
+    const ObjectRef& ref = lattice.universe[m];
+    auto [first, last] = equivalence.IdRange(ref);
+    const std::vector<ecr::Attribute>& attributes = *declared[m];
+    for (size_t k = 0; k < attributes.size(); ++k) {
+      const std::string& name = attributes[k].name;
+      int id = first + static_cast<int>(k);
+      if (id >= last || equivalence.PathAt(id).attribute != name) {
+        id = first == last ? -1
+                           : equivalence.IdOf({ref.schema, ref.object, name});
+      }
+      if (id >= 0) source_of[id] = static_cast<int>(sources.size());
+      sources.push_back({&attributes[k], static_cast<int>(m), id, -1, -1});
     }
-    if (members.size() < 2) continue;  // class does not span this lattice
-    std::vector<int> owners;
-    for (SourceAttribute* m : members) owners.push_back(m->node);
-    int placement = lattice.ancestry.Placement(owners);
-    if (placement < 0) continue;  // no common generalization; copy as-is
-
-    ecr::Attribute merged;
-    merged.name = DerivedAttributeName(members);
-    merged.domain = members.front()->attribute.domain;
-    merged.is_key = true;
-    for (SourceAttribute* m : members) {
-      merged.domain = MergeDomains(merged.domain, m->attribute.domain);
-      merged.is_key = merged.is_key && m->attribute.is_key;
-    }
-    while (used[placement].count(merged.name)) merged.name += "_x";
-    used[placement].insert(merged.name);
-    lattice.nodes[placement].attributes.push_back(merged);
-
-    DerivedAttributeInfo info;
-    info.owner = lattice.nodes[placement].name;
-    info.name = merged.name;
-    for (SourceAttribute* m : members) {
-      info.components.push_back(m->path);
-      consumed.insert(m);
-      target_out[m->path] = AttributeMapping{
-          m->path.attribute, info.owner, merged.name};
-    }
-    derived_out.push_back(std::move(info));
+    lattice.first_source.push_back(static_cast<int>(sources.size()));
   }
 
-  // Copy every unconsumed attribute onto its node, renaming on collision.
-  for (SourceAttribute& a : attributes) {
-    if (consumed.count(&a)) continue;
-    ecr::Attribute copy = a.attribute;
-    if (used[a.node].count(copy.name)) {
-      copy.name = a.path.schema + "_" + copy.name;
-      while (used[a.node].count(copy.name)) copy.name += "_x";
+  size_t first_info = derived_out.size();
+  std::vector<int> representative;  // one member source per derived info
+  std::vector<int> members, owners;
+  for (const std::vector<int>& ids : classes) {
+    members.clear();
+    for (int id : ids) if (source_of[id] >= 0) members.push_back(source_of[id]);
+    if (members.size() < 2) continue;  // class does not span this lattice
+    owners.clear();
+    for (int m : members) {
+      owners.push_back(lattice.node_of[sources[m].structure]);
     }
-    used[a.node].insert(copy.name);
-    lattice.nodes[a.node].attributes.push_back(copy);
-    target_out[a.path] = AttributeMapping{
-        a.path.attribute, lattice.nodes[a.node].name, copy.name};
+    int placement = lattice.ancestry.Placement(owners);
+    if (placement < 0) continue;  // no common generalization; copy as-is
+    // Ids follow registration order; the name, the domain merge and the
+    // provenance follow path order.
+    std::sort(members.begin(), members.end(), [&](int a, int b) {
+      return equivalence.PathAt(sources[a].id) <
+             equivalence.PathAt(sources[b].id);
+    });
+
+    ecr::Attribute merged{DerivedAttributeName(sources, members),
+                          sources[members.front()].attribute->domain, true};
+    Node& node = lattice.nodes[placement];
+    DerivedAttributeInfo info{node.name, "", {}};
+    for (int m : members) {
+      merged.domain = MergeDomains(merged.domain, sources[m].attribute->domain);
+      merged.is_key = merged.is_key && sources[m].attribute->is_key;
+      info.components.push_back(equivalence.PathAt(sources[m].id));
+      sources[m].target = placement;
+      sources[m].slot = static_cast<int>(node.attributes.size());
+    }
+    while (HasAttribute(node, merged.name)) merged.name += "_x";
+    node.attributes.push_back(std::move(merged));
+    derived_out.push_back(std::move(info));
+    representative.push_back(members.front());
+  }
+
+  // Copy every unplaced attribute onto its node, renaming on collision.
+  for (SourceAttribute& source : sources) {
+    if (source.target >= 0) continue;
+    int owner = lattice.node_of[source.structure];
+    Node& node = lattice.nodes[owner];
+    ecr::Attribute copy = *source.attribute;
+    if (HasAttribute(node, copy.name)) {
+      copy.name = lattice.universe[source.structure].schema + "_" + copy.name;
+      while (HasAttribute(node, copy.name)) copy.name += "_x";
+    }
+    source.target = owner;
+    source.slot = static_cast<int>(node.attributes.size());
+    node.attributes.push_back(std::move(copy));
+  }
+
+  if (inherits) ReserveInheritedNames(lattice);
+  for (size_t k = 0; k < representative.size(); ++k) {
+    const SourceAttribute& source = sources[representative[k]];
+    derived_out[first_info + k].name =
+        lattice.nodes[source.target].attributes[source.slot].name;
   }
 }
 
@@ -496,7 +592,14 @@ Result<IntegrationResult> Integrate(const ecr::Catalog& catalog,
 Result<IntegrationResult> IntegrateSeeded(
     const ecr::Catalog& catalog, const std::vector<std::string>& schemas,
     const EquivalenceMap& equivalence, const AssertionStore& assertions,
-    const IntegrationOptions& options) {
+    const IntegrationOptions& options, IntegrateTimings* timings) {
+  // Charges the time since the previous lap to one stage.
+  common::Stopwatch watch(common::RealClock());
+  auto lap = [&](int64_t IntegrateTimings::*stage) {
+    if (timings != nullptr) timings->*stage = watch.ElapsedNs();
+    watch.Restart();
+  };
+
   if (schemas.empty()) {
     return InvalidArgumentError("Integrate needs at least one schema");
   }
@@ -513,21 +616,25 @@ Result<IntegrationResult> IntegrateSeeded(
     components.push_back(schema);
   }
 
-  // Universes, in schema order then declaration order. A relationship's
-  // participants name schema-local object ids; `first_object` turns them
-  // into object-universe positions.
+  // Universes and their declared attributes, in schema order then
+  // declaration order. A relationship's participants name schema-local
+  // object ids; `first_object` turns them into object-universe positions.
   std::vector<ObjectRef> object_universe;
   std::vector<ObjectRef> relationship_universe;
+  std::vector<const std::vector<ecr::Attribute>*> object_attributes;
+  std::vector<const std::vector<ecr::Attribute>*> relationship_attributes;
   std::vector<const ecr::RelationshipSet*> relationship_sets;
   std::vector<int> first_object;  // per relationship-universe position
   for (const ecr::Schema* schema : components) {
     int base = static_cast<int>(object_universe.size());
     for (ecr::ObjectId i = 0; i < schema->num_objects(); ++i) {
       object_universe.push_back({schema->name(), schema->object(i).name});
+      object_attributes.push_back(&schema->object(i).attributes);
     }
     for (ecr::RelationshipId i = 0; i < schema->num_relationships(); ++i) {
       const ecr::RelationshipSet& rel = schema->relationship(i);
       relationship_universe.push_back({schema->name(), rel.name});
+      relationship_attributes.push_back(&rel.attributes);
       relationship_sets.push_back(&rel);
       first_object.push_back(base);
     }
@@ -540,74 +647,69 @@ Result<IntegrationResult> IntegrateSeeded(
   ECRINT_ASSIGN_OR_RETURN(
       Lattice rels,
       BuildLattice(std::move(relationship_universe), assertions, used_names));
+  lap(&IntegrateTimings::lattice_ns);
 
   IntegrationResult result;
   result.schema.set_name(options.result_name);
-  result.object_clusters = BuildClusters(assertions, objects.universe);
-  result.relationship_clusters = BuildClusters(assertions, rels.universe);
+  result.object_clusters = GroupClusters(objects);
+  result.relationship_clusters = GroupClusters(rels);
+  lap(&IntegrateTimings::clusters_ns);
 
   // --- attributes ----------------------------------------------------------
-  std::map<ecr::AttributePath, AttributeMapping> attribute_targets;
-  {
-    std::vector<SourceAttribute> object_attributes;
-    std::vector<SourceAttribute> relationship_attributes;
-    int object_pos = 0;
-    int rel_pos = 0;
-    for (const ecr::Schema* schema : components) {
-      for (ecr::ObjectId i = 0; i < schema->num_objects(); ++i) {
-        const ecr::ObjectClass& object = schema->object(i);
-        for (const ecr::Attribute& a : object.attributes) {
-          object_attributes.push_back({{schema->name(), object.name, a.name},
-                                       a,
-                                       objects.node_of[object_pos]});
+  std::vector<std::vector<int>> classes = equivalence.NontrivialClassIndices();
+  PlaceAttributes(objects, object_attributes, equivalence, classes,
+                  /*inherits=*/true, result.derived_attributes);
+  PlaceAttributes(rels, relationship_attributes, equivalence, classes,
+                  /*inherits=*/false, result.derived_attributes);
+  lap(&IntegrateTimings::placement_ns);
+
+  // --- provenance & mappings ----------------------------------------------
+  auto emit = [&result](const Lattice& lattice, StructureKind kind) {
+    for (const Node& node : lattice.nodes) {
+      IntegratedStructureInfo info{node.name, kind, node.origin, {}};
+      for (int m : node.members) {
+        info.sources.push_back(lattice.universe[m]);
+        StructureMapping mapping{lattice.universe[m], kind, node.name, {}};
+        for (int i = lattice.first_source[m]; i < lattice.first_source[m + 1];
+             ++i) {
+          const SourceAttribute& source = lattice.sources[i];
+          const Node& target = lattice.nodes[source.target];
+          mapping.attributes.push_back({source.attribute->name, target.name,
+                                        target.attributes[source.slot].name});
         }
-        ++object_pos;
+        // Listed by source attribute name.
+        std::sort(mapping.attributes.begin(), mapping.attributes.end(),
+                  [](const AttributeMapping& a, const AttributeMapping& b) {
+                    return a.source_attribute < b.source_attribute;
+                  });
+        result.mappings.push_back(std::move(mapping));
       }
-      for (ecr::RelationshipId i = 0; i < schema->num_relationships(); ++i) {
-        const ecr::RelationshipSet& rel = schema->relationship(i);
-        for (const ecr::Attribute& a : rel.attributes) {
-          relationship_attributes.push_back(
-              {{schema->name(), rel.name, a.name}, a, rels.node_of[rel_pos]});
-        }
-        ++rel_pos;
-      }
+      result.structures.push_back(std::move(info));
     }
-    PlaceAttributes(objects, object_attributes, equivalence,
-                    result.derived_attributes, attribute_targets);
-    PlaceAttributes(rels, relationship_attributes, equivalence,
-                    result.derived_attributes, attribute_targets);
-  }
+  };
+  emit(objects, StructureKind::kObjectClass);
+  emit(rels, StructureKind::kRelationshipSet);
+  lap(&IntegrateTimings::mappings_ns);
 
   // --- assemble object classes --------------------------------------------
+  // Placement made every name unique against the node's own and inherited
+  // attributes, so the attribute lists move over as they are.
   std::vector<ecr::ObjectId> node_to_id(objects.nodes.size(),
                                         ecr::kNoObject);
   for (int node : objects.ancestry.order) {
-    const Node& n = objects.nodes[node];
-    std::vector<int> parents = DirectParents(objects, node);
-    Result<ecr::ObjectId> id = ecr::kNoObject;
-    if (parents.empty()) {
-      id = result.schema.AddEntitySet(n.name);
-    } else {
-      std::vector<ecr::ObjectId> parent_ids;
-      parent_ids.reserve(parents.size());
-      for (int p : parents) parent_ids.push_back(node_to_id[p]);
-      id = result.schema.AddCategory(n.name, parent_ids);
-    }
+    Node& n = objects.nodes[node];
+    std::vector<ecr::ObjectId> parents;
+    for (int p : DirectParents(objects, node)) parents.push_back(node_to_id[p]);
+    Result<ecr::ObjectId> id = parents.empty()
+                                   ? result.schema.AddEntitySet(n.name)
+                                   : result.schema.AddCategory(n.name, parents);
     if (!id.ok()) return id.status();
     node_to_id[node] = *id;
-    result.schema.mutable_object(*id).origin = n.origin;
-    for (const ecr::Attribute& a : n.attributes) {
-      // Placement keeps names unique per node; an inherited clash can still
-      // occur (ancestor copied an identically named attribute), so rename.
-      ecr::Attribute attr = a;
-      Status status = result.schema.AddObjectAttribute(*id, attr);
-      while (status.code() == StatusCode::kAlreadyExists) {
-        attr.name += "_x";
-        status = result.schema.AddObjectAttribute(*id, attr);
-      }
-      if (!status.ok()) return status;
-    }
+    ecr::ObjectClass& object = result.schema.mutable_object(*id);
+    object.origin = n.origin;
+    object.attributes = std::move(n.attributes);
   }
+  lap(&IntegrateTimings::assembly_ns);
 
   // --- assemble relationship sets -----------------------------------------
   // Participants of a source relationship (by universe position), against
@@ -653,7 +755,7 @@ Result<IntegrationResult> IntegrateSeeded(
 
   std::vector<ecr::RelationshipId> rel_node_to_id(rels.nodes.size(), -1);
   for (int node : rel_order) {
-    const Node& n = rels.nodes[node];
+    Node& n = rels.nodes[node];
     std::vector<ecr::Participation> participants;
     for (const NodeParticipation& p : rel_participants[node]) {
       participants.push_back(ecr::Participation{
@@ -667,62 +769,15 @@ Result<IntegrationResult> IntegrateSeeded(
         ecr::RelationshipId id,
         result.schema.AddRelationship(n.name, participants));
     rel_node_to_id[node] = id;
-    result.schema.mutable_relationship(id).origin = n.origin;
-    for (const ecr::Attribute& a : n.attributes) {
-      ecr::Attribute attr = a;
-      Status status = result.schema.AddRelationshipAttribute(id, attr);
-      while (status.code() == StatusCode::kAlreadyExists) {
-        attr.name += "_x";
-        status = result.schema.AddRelationshipAttribute(id, attr);
-      }
-      if (!status.ok()) return status;
-    }
-  }
-  for (int node : rel_order) {
+    ecr::RelationshipSet& rel = result.schema.mutable_relationship(id);
+    rel.origin = n.origin;
+    rel.attributes = std::move(n.attributes);
+    // Parents come first in the topological order, so their ids exist.
     for (int p : DirectParents(rels, node)) {
-      result.schema.mutable_relationship(rel_node_to_id[node])
-          .parents.push_back(rel_node_to_id[p]);
+      rel.parents.push_back(rel_node_to_id[p]);
     }
   }
-
-  // --- provenance & mappings ----------------------------------------------
-  auto emit_infos = [&result](const Lattice& lattice, StructureKind kind) {
-    for (const Node& node : lattice.nodes) {
-      IntegratedStructureInfo info;
-      info.name = node.name;
-      info.kind = kind;
-      info.origin = node.origin;
-      for (int m : node.members) info.sources.push_back(lattice.universe[m]);
-      result.structures.push_back(std::move(info));
-    }
-  };
-  emit_infos(objects, StructureKind::kObjectClass);
-  emit_infos(rels, StructureKind::kRelationshipSet);
-
-  auto emit_mappings = [&](const Lattice& lattice, StructureKind kind) {
-    for (const Node& node : lattice.nodes) {
-      for (int m : node.members) {
-        const ObjectRef& source = lattice.universe[m];
-        StructureMapping mapping;
-        mapping.source = source;
-        mapping.kind = kind;
-        mapping.target = node.name;
-        // The source's attribute paths form one contiguous run of the map.
-        for (auto it = attribute_targets.lower_bound(
-                 {source.schema, source.object, ""});
-             it != attribute_targets.end() &&
-             it->first.schema == source.schema &&
-             it->first.object == source.object;
-             ++it) {
-          mapping.attributes.push_back(it->second);
-        }
-        result.mappings.push_back(std::move(mapping));
-      }
-    }
-  };
-  emit_mappings(objects, StructureKind::kObjectClass);
-  emit_mappings(rels, StructureKind::kRelationshipSet);
-
+  lap(&IntegrateTimings::relationships_ns);
   return result;
 }
 

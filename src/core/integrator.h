@@ -1,6 +1,7 @@
 #ifndef ECRINT_CORE_INTEGRATOR_H_
 #define ECRINT_CORE_INTEGRATOR_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -59,16 +60,29 @@ Status SeedForIntegration(AssertionStore& assertions,
                           const std::vector<std::string>& schemas,
                           const IntegrationOptions& options = {});
 
+// Wall time of IntegrateSeeded's stages, in nanoseconds, in the order they
+// run; together they cover the whole call.
+struct IntegrateTimings {
+  int64_t lattice_ns = 0;        // universes and both lattice pair scans
+  int64_t clusters_ns = 0;       // grouping the scans' integrating pairs
+  int64_t placement_ns = 0;      // attribute merging, copying and naming
+  int64_t mappings_ns = 0;       // provenance and component mappings
+  int64_t assembly_ns = 0;       // integrated object classes
+  int64_t relationships_ns = 0;  // integrated relationship sets
+};
+
 // Phase 4 proper, over an already-seeded closure. `seeded` must hold the
 // user assertions plus the output of SeedForIntegration for the same
 // catalog/schemas/options; because path-consistency closure is confluent
 // (the fixpoint is the intersection of all derivable constraints, so it is
 // independent of assertion order), a cached seeded store extended by one
 // incremental Assert yields exactly the matrix a full replay would.
+// `timings`, when given, receives the per-stage split of the call.
 Result<IntegrationResult> IntegrateSeeded(
     const ecr::Catalog& catalog, const std::vector<std::string>& schemas,
     const EquivalenceMap& equivalence, const AssertionStore& seeded,
-    const IntegrationOptions& options = {});
+    const IntegrationOptions& options = {},
+    IntegrateTimings* timings = nullptr);
 
 }  // namespace ecrint::core
 

@@ -1,8 +1,5 @@
 #include "core/set_relation.h"
 
-#include <bit>
-#include <cassert>
-
 namespace ecrint::core {
 
 const char* SetRelationName(SetRelation relation) {
@@ -14,13 +11,6 @@ const char* SetRelationName(SetRelation relation) {
     case SetRelation::kDisjoint: return "disjoint";
   }
   return "?";
-}
-
-int RelationCount(RelationSet set) { return std::popcount(set); }
-
-SetRelation TheRelation(RelationSet set) {
-  assert(RelationCount(set) == 1);
-  return static_cast<SetRelation>(std::countr_zero(set));
 }
 
 std::string RelationSetToString(RelationSet set) {

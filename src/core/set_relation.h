@@ -2,6 +2,7 @@
 #define ECRINT_CORE_SET_RELATION_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -123,10 +124,18 @@ inline constexpr auto kComposeSetTable =
     set_relation_detail::BuildComposeSetTable();
 
 // Number of relations in the set.
-int RelationCount(RelationSet set);
+constexpr int RelationCount(RelationSet set) { return std::popcount(set); }
+
+// Whether the set holds exactly one relation (the pair is pinned down);
+// cheaper than RelationCount(set) == 1 without a popcount instruction.
+constexpr bool IsSingleton(RelationSet set) {
+  return set != kNoRelation && (set & (set - 1)) == 0;
+}
 
 // The single relation of a singleton set. Precondition: exactly one bit set.
-SetRelation TheRelation(RelationSet set);
+constexpr SetRelation TheRelation(RelationSet set) {
+  return static_cast<SetRelation>(std::countr_zero(set));
+}
 
 // The converse relation set: R(B,A) given R(A,B). Swaps subset/superset.
 constexpr RelationSet Converse(RelationSet set) {

@@ -377,6 +377,7 @@ Result<const core::IntegrationResult*> Engine::Integrate(
     trace_.Count("integrate", "incremental_reuses");
   } else {
     trace_.Count("integrate", "full_rebuilds");
+    PhaseTrace::Scope seed_scope(trace_, "integrate.seed");
     core::AssertionStore seeded = assertions_;
     Status status = core::SeedForIntegration(seeded, catalog_, names,
                                              options_.integration);
@@ -395,11 +396,22 @@ Result<const core::IntegrationResult*> Engine::Integrate(
     }
   }
   if (seeded_.has_value()) {  // empty only when seeding just failed
+    core::IntegrateTimings timings;
     result = core::IntegrateSeeded(catalog_, names, equivalence, *seeded_,
-                                   options_.integration);
+                                   options_.integration, &timings);
+    trace_.Charge("integrate.lattice", timings.lattice_ns);
+    trace_.Charge("integrate.clusters", timings.clusters_ns);
+    trace_.Charge("integrate.placement", timings.placement_ns);
+    trace_.Charge("integrate.mappings", timings.mappings_ns);
+    trace_.Charge("integrate.assembly", timings.assembly_ns);
+    trace_.Charge("integrate.relationships", timings.relationships_ns);
   }
 
-  integration_.reset();
+  {
+    // Freeing the previous result is part of every rebuild's wall time.
+    PhaseTrace::Scope release(trace_, "integrate.release");
+    integration_.reset();
+  }
   ++integration_version_;
   if (!result.ok()) {
     AddDiagnostic(StatusDiagnostic("integration-failed", result.status()));

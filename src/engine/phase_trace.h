@@ -39,6 +39,13 @@ class PhaseTrace {
     common::Stopwatch watch_;
   };
 
+  // Charges `ns` measured elsewhere to `phase` as `calls` more calls.
+  void Charge(const std::string& phase, int64_t ns, int64_t calls = 1) {
+    PhaseStats& stats = phases_[phase];
+    stats.calls += calls;
+    stats.wall_ns += ns;
+  }
+
   void Count(const std::string& phase, const std::string& counter,
              int64_t delta = 1) {
     phases_[phase].counters[counter] += delta;

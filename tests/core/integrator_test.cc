@@ -522,5 +522,157 @@ TEST(IntegratorTest, ResultNameOption) {
   EXPECT_EQ(result->schema.name(), "global");
 }
 
+// Every attribute mapping must name an attribute declared directly on its
+// target, not one the target inherits.
+void ExpectMappingsNameDirectAttributes(const IntegrationResult& result) {
+  const ecr::Schema& s = result.schema;
+  for (const StructureMapping& mapping : result.mappings) {
+    for (const AttributeMapping& attribute : mapping.attributes) {
+      ecr::ObjectId object = s.FindObject(attribute.target_owner);
+      const std::vector<ecr::Attribute>& declared =
+          object != ecr::kNoObject
+              ? s.object(object).attributes
+              : s.relationship(s.FindRelationship(attribute.target_owner))
+                    .attributes;
+      EXPECT_TRUE(std::any_of(declared.begin(), declared.end(),
+                              [&](const ecr::Attribute& a) {
+                                return a.name == attribute.target_attribute;
+                              }))
+          << mapping.source.ToString() << "." << attribute.source_attribute
+          << " -> " << attribute.target_owner << "."
+          << attribute.target_attribute;
+    }
+  }
+}
+
+TEST(IntegratorTest, InheritedNameClashRenamesTheMappingToo) {
+  // Student ⊂ Person and both declare `name`: the category's copy cannot
+  // repeat the inherited name, so it becomes name_x, and the mapping of
+  // s2.Student.name must say so (it once named Person's inherited `name`).
+  // Both schema orders: the category's copy is placed after, then before,
+  // its parent's.
+  for (const std::vector<std::string>& order :
+       std::vector<std::vector<std::string>>{{"s1", "s2"}, {"s2", "s1"}}) {
+    ecr::Catalog catalog;
+    SchemaBuilder b1("s1");
+    b1.Entity("Person").Attr("name", Domain::Char(), true);
+    ASSERT_TRUE(catalog.AddSchema(*b1.Build()).ok());
+    SchemaBuilder b2("s2");
+    b2.Entity("Student").Attr("name", Domain::Char(), true);
+    ASSERT_TRUE(catalog.AddSchema(*b2.Build()).ok());
+    EquivalenceMap equivalence = *EquivalenceMap::Create(catalog, order);
+    AssertionStore assertions;
+    ASSERT_TRUE(assertions.Assert({"s2", "Student"}, {"s1", "Person"},
+                                  AssertionType::kContainedIn).ok());
+    Result<IntegrationResult> result =
+        Integrate(catalog, order, equivalence, assertions);
+    ASSERT_TRUE(result.ok()) << result.status();
+    const ecr::Schema& s = result->schema;
+    ASSERT_EQ(s.object(s.FindObject("Student")).attributes.size(), 1u);
+    EXPECT_EQ(s.object(s.FindObject("Student")).attributes[0].name, "name_x");
+    EXPECT_EQ(s.object(s.FindObject("Person")).attributes[0].name, "name");
+    Result<const StructureMapping*> student =
+        result->MappingFor({"s2", "Student"});
+    ASSERT_TRUE(student.ok());
+    ASSERT_EQ((*student)->attributes.size(), 1u);
+    EXPECT_EQ((*student)->attributes[0].target_owner, "Student");
+    EXPECT_EQ((*student)->attributes[0].target_attribute, "name_x");
+    ExpectMappingsNameDirectAttributes(*result);
+  }
+}
+
+TEST(IntegratorTest, DerivedAttributesFollowPathOrderNotIdOrder) {
+  // The map registers zeta before alpha, so inside each class the ids run
+  // opposite to AttributePath order. Derived names, domain merging and
+  // provenance follow path order (alpha first).
+  ecr::Catalog catalog;
+  SchemaBuilder z("zeta");
+  z.Entity("Person")
+      .Attr("fullname", Domain::CharN(30), true)
+      .Attr("age", Domain::IntRange(0, 120));
+  ASSERT_TRUE(catalog.AddSchema(*z.Build()).ok());
+  SchemaBuilder a("alpha");
+  a.Entity("Human")
+      .Attr("name", Domain::CharN(20), true)
+      .Attr("years", Domain::IntRange(0, 150));
+  ASSERT_TRUE(catalog.AddSchema(*a.Build()).ok());
+  EquivalenceMap equivalence =
+      *EquivalenceMap::Create(catalog, {"zeta", "alpha"});
+  ASSERT_TRUE(equivalence
+                  .DeclareEquivalent({"zeta", "Person", "fullname"},
+                                     {"alpha", "Human", "name"})
+                  .ok());
+  ASSERT_TRUE(equivalence
+                  .DeclareEquivalent({"zeta", "Person", "age"},
+                                     {"alpha", "Human", "years"})
+                  .ok());
+  AssertionStore assertions;
+  ASSERT_TRUE(assertions.Assert({"zeta", "Person"}, {"alpha", "Human"},
+                                AssertionType::kEquals).ok());
+  Result<IntegrationResult> result =
+      Integrate(catalog, {"zeta", "alpha"}, equivalence, assertions);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->derived_attributes.size(), 2u);
+  std::vector<std::string> rendered;
+  for (const DerivedAttributeInfo& info : result->derived_attributes) {
+    const ecr::Schema& s = result->schema;
+    std::string line = info.owner + "." + info.name;
+    for (const ecr::Attribute& attribute :
+         s.object(s.FindObject(info.owner)).attributes) {
+      if (attribute.name == info.name) {
+        line += ": ";
+        line += attribute.domain.ToString();
+      }
+    }
+    line += " <-";
+    for (const ecr::AttributePath& c : info.components) {
+      line += ' ';
+      line += c.ToString();
+    }
+    rendered.push_back(line);
+  }
+  EXPECT_EQ(rendered,
+            (std::vector<std::string>{
+                "E_Pers_Huma.D_name_full: char(30) <- alpha.Human.name "
+                "zeta.Person.fullname",
+                "E_Pers_Huma.D_year_age: int[0..150] <- alpha.Human.years "
+                "zeta.Person.age"}));
+  ExpectMappingsNameDirectAttributes(*result);
+}
+
+TEST(IntegratorTest, MapBuiltBeforeARedefinitionStillMatchesByPath) {
+  // The map registered s1.Person as (a, b); the catalog now declares
+  // (b, a). Placement must still merge s1.Person.b with s2.Person.b, the
+  // pair the map holds equivalent, not whatever sits at b's old position.
+  auto catalog_with = [](std::vector<std::string> person) {
+    ecr::Catalog catalog;
+    SchemaBuilder b1("s1");
+    b1.Entity("Person");
+    for (const std::string& name : person) b1.Attr(name, Domain::Int());
+    EXPECT_TRUE(catalog.AddSchema(*b1.Build()).ok());
+    SchemaBuilder b2("s2");
+    b2.Entity("Person").Attr("b", Domain::Int());
+    EXPECT_TRUE(catalog.AddSchema(*b2.Build()).ok());
+    return catalog;
+  };
+  EquivalenceMap equivalence =
+      *EquivalenceMap::Create(catalog_with({"a", "b"}), {"s1", "s2"});
+  ASSERT_TRUE(
+      equivalence.DeclareEquivalent({"s1", "Person", "b"}, {"s2", "Person", "b"})
+          .ok());
+  ecr::Catalog redefined = catalog_with({"b", "a"});
+  AssertionStore assertions;
+  ASSERT_TRUE(assertions.Assert({"s1", "Person"}, {"s2", "Person"},
+                                AssertionType::kEquals).ok());
+  Result<IntegrationResult> result =
+      Integrate(redefined, {"s1", "s2"}, equivalence, assertions);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->derived_attributes.size(), 1u);
+  EXPECT_EQ(result->derived_attributes[0].name, "D_b");
+  EXPECT_EQ(result->derived_attributes[0].components,
+            (std::vector<ecr::AttributePath>{{"s1", "Person", "b"},
+                                             {"s2", "Person", "b"}}));
+}
+
 }  // namespace
 }  // namespace ecrint::core

@@ -177,6 +177,34 @@ TEST(EngineCacheTest, SchemaEditInvalidatesTheResultCache) {
   EXPECT_EQ(Counter(engine, "integrate", "full_rebuilds"), 2);
 }
 
+TEST(EngineCacheTest, IntegrateChargesItsStagesToSubPhases) {
+  Engine engine = UniversityEngine();
+  ASSERT_TRUE(engine.Integrate({"sc1", "sc2"}).ok());
+  ASSERT_TRUE(engine.Integrate({"sc1", "sc2"}).ok());  // cache hit
+  const auto& phases = engine.trace().phases();
+  // One full rebuild: seeded once, and every stage charged once; the cache
+  // hit charges nothing below `integrate`.
+  for (const char* stage : {"seed", "lattice", "clusters", "placement",
+                            "mappings", "assembly", "relationships",
+                            "release"}) {
+    auto it = phases.find(std::string("integrate.") + stage);
+    ASSERT_NE(it, phases.end()) << stage;
+    EXPECT_EQ(it->second.calls, 1) << stage;
+    EXPECT_GE(it->second.wall_ns, 0) << stage;
+  }
+  EXPECT_EQ(phases.at("integrate").calls, 2);
+
+  // An incremental Integrate charges every stage but the seeding.
+  ASSERT_TRUE(engine
+                  .AssertRelation({"sc1", "Department"}, {"sc2", "Faculty"},
+                                  AssertionType::kDisjointNonintegrable)
+                  .ok());
+  ASSERT_TRUE(engine.Integrate({"sc1", "sc2"}).ok());
+  EXPECT_EQ(phases.at("integrate.seed").calls, 1);
+  EXPECT_EQ(phases.at("integrate.lattice").calls, 2);
+  EXPECT_EQ(phases.at("integrate.relationships").calls, 2);
+}
+
 TEST(EngineIncrementalTest, IncrementalEditMatchesFullPipeline) {
   Engine engine = UniversityEngine();
   ASSERT_TRUE(engine.Integrate({"sc1", "sc2"}).ok());

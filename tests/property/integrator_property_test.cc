@@ -71,7 +71,8 @@ TEST_P(IntegratorPropertyTest, ResultIsValidAndHonoursAssertions) {
     } else {
       EXPECT_GE(s.FindRelationship(mapping.target), 0) << mapping.target;
     }
-    // (3) attribute mappings land on real attributes of real structures.
+    // (3) attribute mappings land on attributes declared directly on their
+    // target structure, not on ones it inherits.
     for (const AttributeMapping& attribute : mapping.attributes) {
       ecr::ObjectId owner = s.FindObject(attribute.target_owner);
       bool found = false;
@@ -147,7 +148,34 @@ TEST_P(IntegratorPropertyTest, ResultIsValidAndHonoursAssertions) {
     }
   }
 
-  // (5) derived attributes' components really exist in their source
+  // (5) no object class repeats an attribute name, its own or one it
+  // inherits: placement reserves names against ancestors, and assembly
+  // adds them unchecked.
+  for (ecr::ObjectId id = 0; id < s.num_objects(); ++id) {
+    std::set<std::string> inherited;
+    std::set<ecr::ObjectId> visited;
+    std::vector<ecr::ObjectId> stack = s.object(id).parents;
+    while (!stack.empty()) {
+      ecr::ObjectId node = stack.back();
+      stack.pop_back();
+      if (!visited.insert(node).second) continue;
+      for (const ecr::Attribute& a : s.object(node).attributes) {
+        inherited.insert(a.name);
+      }
+      for (ecr::ObjectId parent : s.object(node).parents) {
+        stack.push_back(parent);
+      }
+    }
+    std::set<std::string> own;
+    for (const ecr::Attribute& a : s.object(id).attributes) {
+      EXPECT_TRUE(own.insert(a.name).second)
+          << s.object(id).name << "." << a.name;
+      EXPECT_EQ(inherited.count(a.name), 0u)
+          << s.object(id).name << "." << a.name;
+    }
+  }
+
+  // (6) derived attributes' components really exist in their source
   // schemas.
   for (const DerivedAttributeInfo& info : result->derived_attributes) {
     EXPECT_GE(info.components.size(), 2u);

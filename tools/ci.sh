@@ -22,10 +22,10 @@
 #            leader mid-stream, and reconvergence after its restart.
 #   bench    Release build of the recorded perf sweeps, run through
 #            bench/run_benches.sh exactly as when recording (into scratch
-#            files), then BM_AssertChain/64 compared against the recorded
-#            number in BENCH_resemblance.json and
-#            BM_EngineIncrementalEdit/250 against BENCH_engine.json: fail
-#            on >2x regression of either,
+#            files), then the median of five runs of BM_AssertChain/64
+#            compared against the recorded number in BENCH_resemblance.json
+#            and of BM_EngineIncrementalEdit/250 against BENCH_engine.json:
+#            fail on >2x regression of either,
 #            plus the mixed-throughput number in BENCH_service.json
 #            sanity-checked against the recorded Release stamp.
 #   protocol-compat
@@ -1210,8 +1210,11 @@ run_chaos_suite() {
 
 # Fails when benchmark $3 of the fresh google-benchmark report $1 takes more
 # than 2x the number recorded for it in $2 (a Release-stamped BENCH_*.json).
-# The recorded number comes from a long Release run on the reference host;
-# 2x absorbs host jitter while still catching a return to an old slow path.
+# Both sides are the `_median` aggregate of bench/run_benches.sh's five
+# repetitions; a recording made before repetitions (one run, no aggregate)
+# is compared by that run. The recorded number comes from a long Release
+# run on the reference host; 2x absorbs host jitter while still catching a
+# return to an old slow path.
 gate_recorded_bench() {
   python3 - "$@" <<'PY'
 import json
@@ -1222,17 +1225,26 @@ fresh_path, recorded_path, NAME = sys.argv[1:4]
 RECORDED = os.path.basename(recorded_path)
 LIMIT = 2.0
 
+def medians(doc):
+    """Median per benchmark; a single-run recording gives its one run."""
+    runs = {b["name"]: b["real_time"] for b in doc.get("benchmarks", [])
+            if b.get("run_type") == "iteration"}
+    runs.update({b["run_name"]: b["real_time"]
+                 for b in doc.get("benchmarks", [])
+                 if b.get("aggregate_name") == "median"})
+    return runs
+
 with open(fresh_path) as f:
-    fresh = {b["name"]: b["real_time"] for b in json.load(f)["benchmarks"]
-             if b.get("run_type") == "iteration"}
+    fresh_doc = json.load(f)
+fresh = medians(fresh_doc)
 with open(recorded_path) as f:
     recorded_doc = json.load(f)
-recorded = {b["name"]: b["real_time"]
-            for b in recorded_doc.get("benchmarks", [])
-            if b.get("run_type") == "iteration"}
+recorded = medians(recorded_doc)
 
-if NAME not in fresh:
-    sys.exit(f"bench gate: {NAME} missing from the fresh sweep")
+if not any(b.get("aggregate_name") == "median" and b.get("run_name") == NAME
+           for b in fresh_doc["benchmarks"]):
+    sys.exit(f"bench gate: {NAME} has no median in the fresh sweep; "
+             "bench/run_benches.sh must run it with repetitions")
 if NAME not in recorded:
     sys.exit(f"bench gate: {NAME} missing from {RECORDED}; "
              "re-record with bench/run_benches.sh from a Release build")
@@ -1241,7 +1253,7 @@ if not recorded_doc.get("context", {}).get("ecrint_release_build"):
              "build; re-record with bench/run_benches.sh")
 
 ratio = fresh[NAME] / recorded[NAME]
-print(f"bench gate: {NAME} fresh={fresh[NAME]:.0f}ns "
+print(f"bench gate: {NAME} fresh median={fresh[NAME]:.0f}ns "
       f"recorded={recorded[NAME]:.0f}ns ratio={ratio:.2f}x (limit {LIMIT}x)")
 if ratio > LIMIT:
     sys.exit(f"bench gate: {NAME} regressed {ratio:.2f}x over the recorded "
