@@ -347,21 +347,34 @@ Status Engine::RetractRelation(int index) {
 // Phase 4: integration.
 // ---------------------------------------------------------------------------
 
+std::vector<std::string> Engine::IntegrateNames(
+    std::vector<std::string> schemas) {
+  return schemas.empty() ? catalog_.SchemaNames() : std::move(schemas);
+}
+
+void Engine::TagIntegration(std::vector<std::string> names) {
+  integrated_schemas_ = std::move(names);
+  integrated_schema_generation_ = schema_generation_;
+  integrated_equivalence_generation_ = equivalence_generation_;
+  integrated_assertion_epoch_ = assertion_epoch_;
+  integrated_log_pos_ = static_cast<int>(assertions_.user_assertions().size());
+}
+
 Result<const core::IntegrationResult*> Engine::Integrate(
     std::vector<std::string> schemas) {
   PhaseTrace::Scope scope(trace_, "integrate");
-  std::vector<std::string> names =
-      schemas.empty() ? catalog_.SchemaNames() : std::move(schemas);
+  std::vector<std::string> names = IntegrateNames(std::move(schemas));
   int log_size = static_cast<int>(assertions_.user_assertions().size());
 
-  if (integration_.has_value() && integrated_schemas_ == names &&
-      integrated_schema_generation_ == schema_generation_ &&
-      integrated_equivalence_generation_ == equivalence_generation_ &&
-      integrated_assertion_epoch_ == assertion_epoch_ &&
-      integrated_log_pos_ == log_size) {
+  if (integration_.has_value() && TaggedFor(names)) {
     trace_.Count("integrate", "cache_hits");
     return &*integration_;
   }
+  // A pending superseded integrate saw exactly this state and already
+  // bumped the version: this build is its result, so only a failure (which
+  // the original execution repeated) counts as one more assignment.
+  const bool resumes_pending = integration_pending_ && TaggedFor(names);
+  integration_pending_ = false;
 
   const core::EquivalenceMap& equivalence = EnsureEquivalence();
   // Reuse the cached seeded closure when the schema layer is unchanged and
@@ -412,17 +425,13 @@ Result<const core::IntegrationResult*> Engine::Integrate(
     PhaseTrace::Scope release(trace_, "integrate.release");
     integration_.reset();
   }
-  ++integration_version_;
+  if (!resumes_pending || !result.ok()) ++integration_version_;
   if (!result.ok()) {
     AddDiagnostic(StatusDiagnostic("integration-failed", result.status()));
     return result.status();
   }
   integration_ = *std::move(result);
-  integrated_schemas_ = std::move(names);
-  integrated_schema_generation_ = schema_generation_;
-  integrated_equivalence_generation_ = equivalence_generation_;
-  integrated_assertion_epoch_ = assertion_epoch_;
-  integrated_log_pos_ = log_size;
+  TagIntegration(std::move(names));
   trace_.Count("integrate", "clusters_built",
                static_cast<int64_t>(integration_->object_clusters.size() +
                                     integration_->relationship_clusters
@@ -430,9 +439,29 @@ Result<const core::IntegrationResult*> Engine::Integrate(
   return &*integration_;
 }
 
+void Engine::SupersededIntegrate(std::vector<std::string> schemas) {
+  std::vector<std::string> names = IntegrateNames(std::move(schemas));
+  if (integration_pending_ && TaggedFor(names)) {
+    (void)Integrate(std::move(names));
+    return;
+  }
+  PhaseTrace::Scope scope(trace_, "integrate");
+  if (integration_.has_value() && TaggedFor(names)) {
+    trace_.Count("integrate", "cache_hits");
+    return;
+  }
+  EnsureEquivalence();  // Integrate materializes the map before building.
+  integration_.reset();
+  ++integration_version_;
+  integration_pending_ = true;
+  TagIntegration(std::move(names));
+  trace_.Count("integrate", "superseded");
+}
+
 Status Engine::FullRebuild() {
   seeded_.reset();
   integration_.reset();
+  integration_pending_ = false;
   ++integration_version_;
   rank_cache_.clear();
   ++schema_generation_;
@@ -481,6 +510,7 @@ Status Engine::ImportProject(core::Project project) {
   }
   assertions_ = std::move(store);
   integration_.reset();
+  integration_pending_ = false;
   ++integration_version_;
   seeded_.reset();
   MarkSchemasDirty();
@@ -523,6 +553,7 @@ Status Engine::AdoptReplayStamp(const EngineStamp& stamp) {
     integrated_equivalence_generation_ = -1;
     integrated_assertion_epoch_ = -1;
     integrated_log_pos_ = -1;
+    integration_pending_ = false;
   }
   if (seeded_current) {
     seeded_schema_generation_ = schema_generation_;

@@ -146,6 +146,20 @@ class Engine {
   // FullRebuild / ImportProject.
   Result<const core::IntegrationResult*> Integrate(
       std::vector<std::string> schemas = {});
+  // Replay's stand-in for an Integrate whose result a later journaled
+  // integrate replaces (engine/replay.h, ReplayTail). Leaves Stamp()
+  // exactly as Integrate would, without building: a would-be cache hit
+  // does nothing; otherwise the cached result is emptied,
+  // integration_version bumps, and the inputs (schemas and the four
+  // validity tags) are kept as pending. The next Integrate or
+  // SupersededIntegrate over the same schemas and unchanged tags sees the
+  // state the skipped one saw, so it really builds and bumps the version
+  // only if that build fails — a success followed by a cache hit, or a
+  // failure followed by a failure, as in the original execution. A skipped
+  // integrate that would have failed appends no Diagnostic; the service
+  // reads diagnostics only as per-request deltas, so nothing observable
+  // changes.
+  void SupersededIntegrate(std::vector<std::string> schemas = {});
   const std::optional<core::IntegrationResult>& integration() const {
     return integration_;
   }
@@ -154,6 +168,7 @@ class Engine {
   // e.g. every schema was deleted).
   void DiscardIntegration() {
     integration_.reset();
+    integration_pending_ = false;
     ++integration_version_;
   }
 
@@ -204,12 +219,7 @@ class Engine {
   // same schemas would cache-hit). Checkpoints record this so recovery
   // knows whether to rebuild the integration result.
   bool IntegrationCurrent() const {
-    return integration_.has_value() &&
-           integrated_schema_generation_ == schema_generation_ &&
-           integrated_equivalence_generation_ == equivalence_generation_ &&
-           integrated_assertion_epoch_ == assertion_epoch_ &&
-           integrated_log_pos_ ==
-               static_cast<int>(assertions_.user_assertions().size());
+    return integration_.has_value() && IntegratedTagsCurrent();
   }
   // The schema list the cached integration result was computed over.
   const std::vector<std::string>& integrated_schemas() const {
@@ -249,6 +259,25 @@ class Engine {
   };
 
   const core::EquivalenceMap& EnsureEquivalence();
+  // The integrated_* validity tags name the current state.
+  bool IntegratedTagsCurrent() const {
+    return integrated_schema_generation_ == schema_generation_ &&
+           integrated_equivalence_generation_ == equivalence_generation_ &&
+           integrated_assertion_epoch_ == assertion_epoch_ &&
+           integrated_log_pos_ ==
+               static_cast<int>(assertions_.user_assertions().size());
+  }
+  // `names` resolved the way Integrate resolves them (empty = all).
+  std::vector<std::string> IntegrateNames(std::vector<std::string> schemas);
+  // Tags the integration (or the pending superseded one) with `names` and
+  // the current state.
+  void TagIntegration(std::vector<std::string> names);
+  // The integrated_* tags name `names` over the current state: with a
+  // cached result, an Integrate of `names` is a cache hit; while
+  // integration_pending_, it resumes the superseded one.
+  bool TaggedFor(const std::vector<std::string>& names) const {
+    return integrated_schemas_ == names && IntegratedTagsCurrent();
+  }
   void MarkSchemasDirty();
   // Invalidates rankings whose schema pair the class of `touched` spans;
   // untouched entries are revalidated against the new generation.
@@ -287,12 +316,14 @@ class Engine {
   int64_t seeded_assertion_epoch_ = -1;
   int seeded_log_pos_ = 0;
 
-  // Validity tag of integration_.
+  // Validity tag of integration_, or of the pending superseded integrate
+  // while integration_pending_ (integration_ is then empty).
   std::vector<std::string> integrated_schemas_;
   int64_t integrated_schema_generation_ = -1;
   int64_t integrated_equivalence_generation_ = -1;
   int64_t integrated_assertion_epoch_ = -1;
   int integrated_log_pos_ = -1;
+  bool integration_pending_ = false;
 
   std::vector<Diagnostic> diagnostics_;
   PhaseTrace trace_;

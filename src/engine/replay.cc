@@ -170,4 +170,29 @@ Result<std::vector<std::string>> ApplyReplayVerb(Engine& engine,
   return defined;
 }
 
+ReplayTailStats ReplayTail(Engine& engine, std::span<const ReplayVerb> verbs) {
+  size_t survivor = verbs.size();
+  for (size_t i = verbs.size(); i-- > 0;) {
+    if (verbs[i].kind == ReplayVerb::Kind::kIntegrate) {
+      survivor = i;
+      break;
+    }
+  }
+  ReplayTailStats stats;
+  for (size_t i = 0; i < verbs.size(); ++i) {
+    if (i < survivor && verbs[i].kind == ReplayVerb::Kind::kIntegrate) {
+      engine.SupersededIntegrate(verbs[i].schemas);
+      // As after every write in ApplyReplayVerb.
+      engine.Equivalence();
+      ++stats.integrates_superseded;
+      continue;
+    }
+    // The verb's own outcome is irrelevant: the engine is deterministic,
+    // so a rejected verb replays to the identical rejection.
+    (void)ApplyReplayVerb(engine, verbs[i]);
+    if (i == survivor) ++stats.integrates_built;
+  }
+  return stats;
+}
+
 }  // namespace ecrint::engine

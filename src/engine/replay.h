@@ -1,6 +1,8 @@
 #ifndef ECRINT_ENGINE_REPLAY_H_
 #define ECRINT_ENGINE_REPLAY_H_
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -62,6 +64,21 @@ void BeginReplay(Engine& engine);
 // engine runs) replay deterministically.
 Result<std::vector<std::string>> ApplyReplayVerb(Engine& engine,
                                                  const ReplayVerb& verb);
+
+// What ReplayTail did with the tail's integrates.
+struct ReplayTailStats {
+  int64_t integrates_built = 0;       // through ApplyReplayVerb: 0 or 1
+  int64_t integrates_superseded = 0;  // through Engine::SupersededIntegrate
+};
+
+// Crash recovery's replay of a whole journal tail: only the integration the
+// node served at the end of the tail is worth building, so every verb runs
+// through ApplyReplayVerb except the integrates before the last one, which
+// go to Engine::SupersededIntegrate (same Stamp(), no build). The engine
+// ends Stamp()-, export- and integration-identical to applying every verb
+// through ApplyReplayVerb. Live writes and replicas, which cannot know
+// what follows, apply one verb at a time instead.
+ReplayTailStats ReplayTail(Engine& engine, std::span<const ReplayVerb> verbs);
 
 }  // namespace ecrint::engine
 

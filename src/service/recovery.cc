@@ -27,9 +27,9 @@ Result<int64_t> ParseInt64(const std::string& token) {
   return static_cast<int64_t>(value);
 }
 
-// The checkpoint header both formats share: v1 writes it between its magic
-// line and %project, v2 stores it as the META section. Lines: seq, the
-// optional epoch, stamp, and the optional integrated line.
+// The checkpoint header both formats share: v1 files hold it between their
+// magic line and %project, v2 stores it as the META section. Lines: seq,
+// the optional epoch, stamp, and the optional integrated line.
 std::string SerializeMetaSection(const Checkpoint& checkpoint) {
   std::string out = "seq " + std::to_string(checkpoint.seq);
   // Emitted only when a failover ever bumped it: epoch-0 checkpoints stay
@@ -191,28 +191,6 @@ Result<CheckpointView> ParseCheckpointV1(std::string_view text) {
 
 }  // namespace
 
-std::string SerializeCheckpoint(const Checkpoint& checkpoint) {
-  std::string out = kCheckpointMagic;
-  out += "\n";
-  out += SerializeMetaSection(checkpoint);
-  out += kProjectMarker;
-  out += "\n";
-  out += checkpoint.project_text;
-  return out;
-}
-
-Result<Checkpoint> ParseCheckpoint(std::string_view text) {
-  ECRINT_ASSIGN_OR_RETURN(CheckpointView view, ParseCheckpointV1(text));
-  Checkpoint checkpoint;
-  checkpoint.seq = view.seq;
-  checkpoint.epoch = view.epoch;
-  checkpoint.stamp = view.stamp;
-  checkpoint.integrated = view.integrated;
-  checkpoint.integrated_schemas = std::move(view.integrated_schemas);
-  checkpoint.project_text = std::string(view.project_text);
-  return checkpoint;
-}
-
 std::string SerializeCheckpointV2(const Checkpoint& checkpoint) {
   std::string meta = SerializeMetaSection(checkpoint);
   struct Section {
@@ -357,6 +335,7 @@ Result<std::unique_ptr<RecoveryManager>> RecoveryManager::Open(
                             fs->ReadFileToString(journal_path));
     JournalScanResult scan = ScanJournal(bytes);
     uint64_t cut = scan.valid_bytes;
+    std::vector<engine::ReplayVerb> tail;
     for (const JournalRecord& record : scan.records) {
       if (record.seq <= stats->checkpoint_seq) {
         ++stats->skipped_records;
@@ -371,13 +350,17 @@ Result<std::unique_ptr<RecoveryManager>> RecoveryManager::Open(
         scan.clean = false;
         break;
       }
-      // The verb's own outcome is irrelevant: the engine is deterministic,
-      // so a rejected verb replays to the identical rejection, and the
-      // original execution journaled it regardless.
-      (void)engine::ApplyReplayVerb(engine, *verb);
-      ++stats->replayed_records;
+      tail.push_back(*std::move(verb));
       last_seq = record.seq;
     }
+    // The whole tail is known, so only its last integrate is built. Each
+    // verb's own outcome is irrelevant: the engine is deterministic, so a
+    // rejected verb replays to the identical rejection, and the original
+    // execution journaled it regardless.
+    engine::ReplayTailStats replay = engine::ReplayTail(engine, tail);
+    stats->replayed_records = static_cast<int64_t>(tail.size());
+    stats->integrates_built = replay.integrates_built;
+    stats->integrates_superseded = replay.integrates_superseded;
     if (!scan.clean) {
       stats->truncated_bytes =
           static_cast<int64_t>(scan.total_bytes - cut);
@@ -398,6 +381,10 @@ Result<std::unique_ptr<RecoveryManager>> RecoveryManager::Open(
          stats->replayed_records);
     Bump(metrics->GetCounter("journal.replay.skipped"),
          stats->skipped_records);
+    Bump(metrics->GetCounter("journal.replay.integrates_built"),
+         stats->integrates_built);
+    Bump(metrics->GetCounter("journal.replay.integrates_superseded"),
+         stats->integrates_superseded);
     Bump(metrics->GetCounter("journal.replay.truncated_bytes"),
          stats->truncated_bytes);
   }

@@ -34,7 +34,12 @@ struct DurabilityOptions {
 struct RecoveryStats {
   bool restored_checkpoint = false;
   uint64_t checkpoint_seq = 0;
+  // Every applied tail record, superseded integrates included.
   int64_t replayed_records = 0;
+  // Tail integrates replay built (the last one, if any) and the earlier
+  // ones it accounted for without building (engine::ReplayTail).
+  int64_t integrates_built = 0;
+  int64_t integrates_superseded = 0;
   // Journal records at or below the checkpoint sequence — leftovers of a
   // rotation that failed after the checkpoint landed.
   int64_t skipped_records = 0;
@@ -42,8 +47,9 @@ struct RecoveryStats {
   int64_t truncated_bytes = 0;
 };
 
-// A parsed checkpoint: the engine state with every journal record up to
-// `seq` folded in. Text format (docs/FORMATS.md):
+// A checkpoint to write: the engine state with every journal record up to
+// `seq` folded in. Written as v2 (below); the v1 text format
+// (docs/FORMATS.md) is still read, never written:
 //
 //   ecrint-checkpoint v1
 //   seq <N>
@@ -62,9 +68,6 @@ struct Checkpoint {
   std::vector<std::string> integrated_schemas;
   std::string project_text;
 };
-
-std::string SerializeCheckpoint(const Checkpoint& checkpoint);
-Result<Checkpoint> ParseCheckpoint(std::string_view text);
 
 // --- checkpoint v2: sectioned binary format --------------------------------
 // Fixed header, then a CRC-guarded section table, then the section bytes.

@@ -1,6 +1,7 @@
 // Crash recovery, end to end: checkpoint format roundtrips, the
-// crash-at-every-byte property (recovered state is Stamp()-identical to a
-// serial replay of whatever journal prefix survived), the fault-injection
+// crash-at-every-byte property (recovered state serves exactly what a
+// serial replay of whatever journal prefix survived serves: stamp, export,
+// outline, translate; see replay_oracle.h), the fault-injection
 // matrix (a dying journal device flips the project to degraded read-only
 // instead of crashing or corrupting), and checkpoint-failure semantics.
 
@@ -15,20 +16,18 @@
 #include <string>
 #include <vector>
 
+#include "checkpoint_v1.h"
 #include "commands.h"
 #include "common/checksum.h"
 #include "common/fs.h"
 #include "engine/engine.h"
 #include "engine/replay.h"
+#include "replay_oracle.h"
 #include "service/journal.h"
 #include "service/service.h"
 
 namespace ecrint::service {
 namespace {
-
-constexpr const char* kUniversityDdl =
-    "schema sc1 { entity Student { Name: char key; GPA: real; } }\n"
-    "schema sc2 { entity Grad { Name: char key; GPA: real; } }";
 
 // --- checkpoint format -----------------------------------------------------
 
@@ -208,39 +207,6 @@ TEST(ProjectDirNameTest, EncodesHostileNames) {
 
 // --- shared machinery for the property tests -------------------------------
 
-// The scripted mutation sequence the property tests journal: all four verb
-// kinds, including two the engine REJECTS (the WAL is written before the
-// engine runs, so rejected verbs are journaled too and must replay to the
-// same rejection), and two back-to-back defines — in one batch frame the
-// second runs before any verb materializes the equivalence map the first
-// one reset.
-std::vector<engine::ReplayVerb> ScriptVerbs() {
-  std::vector<engine::ReplayVerb> verbs;
-  verbs.push_back(engine::DefineVerb(kUniversityDdl));
-  verbs.push_back(engine::DefineVerb("schema broken {"));  // rejected: parse
-  verbs.push_back(engine::EquivalenceVerb({"sc1", "Student", "Name"},
-                                          {"sc2", "Grad", "Name"}));
-  verbs.push_back(engine::EquivalenceVerb({"sc1", "Student", "Nope"},
-                                          {"sc2", "Grad", "Name"}));  // rejected
-  verbs.push_back(engine::EquivalenceVerb({"sc1", "Student", "GPA"},
-                                          {"sc2", "Grad", "GPA"}));
-  verbs.push_back(engine::RelationVerb({"sc1", "Student"}, /*type_code=*/1,
-                                       {"sc2", "Grad"}));
-  verbs.push_back(engine::IntegrateVerb({}));
-  verbs.push_back(
-      engine::DefineVerb("schema sc3 { entity Alum { Name: char key; } }"));
-  verbs.push_back(engine::EquivalenceVerb({"sc1", "Student", "Name"},
-                                          {"sc3", "Alum", "Name"}));
-  verbs.push_back(engine::IntegrateVerb({}));
-  verbs.push_back(
-      engine::DefineVerb("schema sc4 { entity Staff { Name: char key; } }"));
-  verbs.push_back(
-      engine::DefineVerb("schema sc5 { entity Clerk { Name: char key; } }"));
-  verbs.push_back(engine::EquivalenceVerb({"sc4", "Staff", "Name"},
-                                          {"sc5", "Clerk", "Name"}));
-  return verbs;
-}
-
 // The client command a journaled verb arrives as.
 ServiceCommand CommandFor(const engine::ReplayVerb& verb) {
   switch (verb.kind) {
@@ -261,26 +227,6 @@ ServiceCommand CommandFor(const engine::ReplayVerb& verb) {
 ServiceResponse Drive(IntegrationService& service, const std::string& session,
                       const engine::ReplayVerb& verb) {
   return service.Execute(session, CommandFor(verb));
-}
-
-struct ReferenceState {
-  engine::EngineStamp stamp;
-  std::string exported;
-};
-
-// Ground truth: a fresh engine taken through the service plane's exact
-// replay sequence for the first `count` verbs.
-ReferenceState SerialReplay(const std::vector<engine::ReplayVerb>& verbs,
-                            size_t count) {
-  engine::Engine engine;
-  engine::BeginReplay(engine);
-  for (size_t i = 0; i < count; ++i) {
-    (void)engine::ApplyReplayVerb(engine, verbs[i]);
-  }
-  ReferenceState reference;
-  reference.stamp = engine.Stamp();
-  reference.exported = engine.ExportProject();
-  return reference;
 }
 
 constexpr const char* kProjectDir = "data/uni";
@@ -328,7 +274,8 @@ ScriptRun RunScript(common::Fs* fs, int checkpoint_interval,
 // Journal K verbs through the real service, then simulate a crash at EVERY
 // byte boundary of the journal: recovery must reproduce exactly the state
 // a serial replay of the surviving whole-record prefix produces —
-// identical EngineStamp, identical project export — and must truncate the
+// identical EngineStamp, export, integration, outline and translation —
+// while building only the prefix's last integrate, and must truncate the
 // torn tail so the journal is append-ready again.
 TEST(RecoveryPropertyTest, CrashAtEveryByteMatchesSerialReplay) {
   common::MemFs fs;
@@ -339,6 +286,10 @@ TEST(RecoveryPropertyTest, CrashAtEveryByteMatchesSerialReplay) {
   EXPECT_FALSE(responses[1].ok());
   EXPECT_FALSE(responses[3].ok());
   EXPECT_TRUE(responses[9].ok());
+  // So were the integrates over an unknown schema; the one after succeeded.
+  EXPECT_FALSE(responses[17].ok());
+  EXPECT_FALSE(responses[18].ok());
+  EXPECT_TRUE(responses[19].ok());
 
   Result<std::string> journal = fs.ReadFileToString(kJournalPath);
   ASSERT_TRUE(journal.ok());
@@ -372,9 +323,13 @@ TEST(RecoveryPropertyTest, CrashAtEveryByteMatchesSerialReplay) {
     EXPECT_EQ(stats.truncated_bytes,
               static_cast<int64_t>(cut - prefix.valid_bytes))
         << "cut at " << cut;
-    EXPECT_TRUE(engine.Stamp() == references[k].stamp) << "cut at " << cut;
-    EXPECT_EQ(engine.ExportProject(), references[k].exported)
+    // Only the last integrate of the tail is built.
+    const int64_t integrates = IntegratesIn(verbs, k);
+    EXPECT_EQ(stats.integrates_built, integrates > 0 ? 1 : 0)
         << "cut at " << cut;
+    EXPECT_EQ(stats.integrates_superseded, std::max<int64_t>(integrates - 1, 0))
+        << "cut at " << cut;
+    ExpectServes(engine, references[k], "cut at " + std::to_string(cut));
     // The torn tail is gone and sequencing resumes after the survivors.
     EXPECT_EQ(crashed.ReadFileToString(kJournalPath)->size(),
               prefix.valid_bytes)
@@ -387,44 +342,50 @@ TEST(RecoveryPropertyTest, CrashAtEveryByteMatchesSerialReplay) {
 // Same property with checkpoints in the mix: crashes land on a journal
 // that only holds the suffix past the last checkpoint, and recovery =
 // checkpoint restore + suffix replay must still match a full serial
-// replay from scratch.
+// replay from scratch. Every 4 records, the last checkpoint (seq 20)
+// holds a current integration; every 6, it lands after a rejected
+// integrate (seq 18) and its suffix holds a superseded integrate.
 TEST(RecoveryPropertyTest, CrashAtEveryByteWithCheckpoint) {
-  common::MemFs fs;
-  RunScript(&fs, /*checkpoint_interval=*/4);
+  const std::vector<engine::ReplayVerb> verbs = ScriptVerbs();
+  for (int interval : {4, 6}) {
+    common::MemFs fs;
+    RunScript(&fs, interval);
+    const std::string where = "interval " + std::to_string(interval);
 
-  Result<std::string> checkpoint_bytes = fs.ReadFileToString(kCheckpointPath);
-  ASSERT_TRUE(checkpoint_bytes.ok());
-  // The service writes v2 sectioned checkpoints now.
-  Result<CheckpointView> checkpoint = ParseCheckpointAny(*checkpoint_bytes);
-  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
-  ASSERT_GT(checkpoint->seq, 0u);
+    Result<std::string> checkpoint_bytes =
+        fs.ReadFileToString(kCheckpointPath);
+    ASSERT_TRUE(checkpoint_bytes.ok()) << where;
+    // The service writes v2 sectioned checkpoints now.
+    Result<CheckpointView> checkpoint = ParseCheckpointAny(*checkpoint_bytes);
+    ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+    ASSERT_GT(checkpoint->seq, 0u) << where;
+    EXPECT_EQ(checkpoint->integrated, interval == 4) << where;
 
-  Result<std::string> journal = fs.ReadFileToString(kJournalPath);
-  ASSERT_TRUE(journal.ok());
-  std::vector<engine::ReplayVerb> verbs = ScriptVerbs();
-  ASSERT_LT(checkpoint->seq, verbs.size());  // suffix is non-empty
+    Result<std::string> journal = fs.ReadFileToString(kJournalPath);
+    ASSERT_TRUE(journal.ok()) << where;
+    ASSERT_LT(checkpoint->seq, verbs.size()) << where;  // suffix non-empty
 
-  for (size_t cut = 0; cut <= journal->size(); ++cut) {
-    common::MemFs crashed;
-    crashed.SetFile(kCheckpointPath, *checkpoint_bytes);
-    crashed.SetFile(kJournalPath, journal->substr(0, cut));
+    for (size_t cut = 0; cut <= journal->size(); ++cut) {
+      common::MemFs crashed;
+      crashed.SetFile(kCheckpointPath, *checkpoint_bytes);
+      crashed.SetFile(kJournalPath, journal->substr(0, cut));
 
-    engine::Engine engine;
-    RecoveryStats stats;
-    auto manager =
-        RecoveryManager::Open(&crashed, kProjectDir, DurabilityOptions{},
-                              engine, &stats, /*metrics=*/nullptr);
-    ASSERT_TRUE(manager.ok()) << "cut at " << cut << ": "
-                              << manager.status().ToString();
-    EXPECT_TRUE(stats.restored_checkpoint) << "cut at " << cut;
-    EXPECT_EQ(stats.checkpoint_seq, checkpoint->seq) << "cut at " << cut;
+      engine::Engine engine;
+      RecoveryStats stats;
+      auto manager =
+          RecoveryManager::Open(&crashed, kProjectDir, DurabilityOptions{},
+                                engine, &stats, /*metrics=*/nullptr);
+      ASSERT_TRUE(manager.ok()) << where << " cut at " << cut << ": "
+                                << manager.status().ToString();
+      EXPECT_TRUE(stats.restored_checkpoint) << where << " cut at " << cut;
+      EXPECT_EQ(stats.checkpoint_seq, checkpoint->seq)
+          << where << " cut at " << cut;
 
-    JournalScanResult prefix = ScanJournal(journal->substr(0, cut));
-    size_t applied = checkpoint->seq + prefix.records.size();
-    ReferenceState reference = SerialReplay(verbs, applied);
-    EXPECT_TRUE(engine.Stamp() == reference.stamp) << "cut at " << cut;
-    EXPECT_EQ(engine.ExportProject(), reference.exported)
-        << "cut at " << cut;
+      JournalScanResult prefix = ScanJournal(journal->substr(0, cut));
+      size_t applied = checkpoint->seq + prefix.records.size();
+      ExpectServes(engine, SerialReplay(verbs, applied),
+                   where + " cut at " + std::to_string(cut));
+    }
   }
 }
 
@@ -462,8 +423,7 @@ TEST(RecoveryPropertyTest, BatchFramesMatchSerialReplay) {
                                          /*metrics=*/nullptr);
     ASSERT_TRUE(manager.ok()) << manager.status().ToString();
     EXPECT_TRUE(engine.Stamp() == run.live_stamp) << "frame " << frame;
-    EXPECT_EQ(engine.ExportProject(), reference.exported)
-        << "frame " << frame;
+    ExpectServes(engine, reference, "frame " + std::to_string(frame));
   }
 }
 
@@ -556,9 +516,8 @@ TEST(RecoveryFaultTest, AppendFailureAtEveryIndexDegradesThenRecovers) {
         RecoveryManager::Open(&recovered_fs, kProjectDir, DurabilityOptions{},
                               engine, &stats, /*metrics=*/nullptr);
     ASSERT_TRUE(manager.ok());
-    ReferenceState reference = SerialReplay(verbs, scan.records.size());
-    EXPECT_TRUE(engine.Stamp() == reference.stamp) << "fail_at=" << fail_at;
-    EXPECT_EQ(engine.ExportProject(), reference.exported);
+    ExpectServes(engine, SerialReplay(verbs, scan.records.size()),
+                 "fail_at=" + std::to_string(fail_at));
   }
 }
 
@@ -597,10 +556,8 @@ TEST(RecoveryFaultTest, ShortWriteTornTailIsDroppedOnRecovery) {
                               engine, &stats, /*metrics=*/nullptr);
     ASSERT_TRUE(manager.ok());
     EXPECT_EQ(stats.truncated_bytes, static_cast<int64_t>(torn_bytes));
-    ReferenceState reference = SerialReplay(verbs, 4);
-    EXPECT_TRUE(engine.Stamp() == reference.stamp)
-        << "torn_bytes=" << torn_bytes;
-    EXPECT_EQ(engine.ExportProject(), reference.exported);
+    ExpectServes(engine, SerialReplay(verbs, 4),
+                 "torn_bytes=" + std::to_string(torn_bytes));
   }
 }
 
@@ -798,6 +755,15 @@ TEST(RecoveryTest, RecoveryMetricsAreCharged) {
   EXPECT_EQ(service.metrics().GetCounter("journal.recoveries")->value(), 1);
   EXPECT_EQ(service.metrics().GetCounter("journal.replay.records")->value(),
             static_cast<int64_t>(ScriptVerbs().size()));
+  const int64_t integrates = IntegratesIn(ScriptVerbs(), ScriptVerbs().size());
+  EXPECT_EQ(service.metrics()
+                .GetCounter("journal.replay.integrates_built")
+                ->value(),
+            1);
+  EXPECT_EQ(service.metrics()
+                .GetCounter("journal.replay.integrates_superseded")
+                ->value(),
+            integrates - 1);
   EXPECT_EQ(service.metrics().GetCounter("journal.degraded_flips")->value(),
             0);
 }

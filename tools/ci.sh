@@ -9,10 +9,13 @@
 #            gtest binaries (build-ci-tsan/)
 #   recovery Debug + ASan/UBSan, running the durability surfaces — the
 #            fault-injection matrix, the crash-at-every-byte property
-#            tests — plus a real kill -9 smoke against ecrint_serve: write
-#            through the wire, kill the process ungracefully, verify the
-#            journal with ecrint_journal, restart, read the state back,
-#            and check the SIGTERM drain path exits 0.
+#            tests, the recovery mutation fuzz — plus a real kill -9 smoke
+#            against ecrint_serve: write through the wire (two integrates
+#            among the equivs), kill the process ungracefully, verify the
+#            journal with ecrint_journal, restart, read the state back
+#            (the outline equals the pre-crash one, and the metrics count
+#            a superseded integrate), and check the SIGTERM drain path
+#            exits 0.
 #   replication
 #            Debug + ASan/UBSan, running the replication surfaces — frame
 #            codecs, journal tailer, follower state machine, response
@@ -211,15 +214,32 @@ kill_recover_smoke() {
   local log="${build_dir}/serve-smoke.log"
   rm -rf "${data_dir}"
 
-  # Round 1: one durable define over the wire, then die without warning.
+  # Round 1: durable writes over the wire — define, then equivs with two
+  # integrates between them, so recovery replays a superseded integrate and
+  # a survivor that a later equiv leaves stale but served — then die
+  # without warning.
   start_smoke_server "${serve}" "${data_dir}" "${log}"
-  local define_out
-  define_out="$(smoke_request "${smoke_port}" 2 \
+  local write_out
+  write_out="$(smoke_request "${smoke_port}" 7 \
     "open smoke" \
-    "define schema s1 { entity Student { Name: char key; } }")"
-  if grep -q '^err ' <<<"${define_out}"; then
-    echo "recovery smoke: define failed:" >&2
-    echo "${define_out}" >&2
+    "define schema s1 { entity Student { Name: char key; GPA: real; Addr: char; } } schema s2 { entity Pupil { Name: char key; GPA: real; Addr: char; } }" \
+    "equiv s1.Student.Name s2.Pupil.Name" \
+    "integrate" \
+    "equiv s1.Student.GPA s2.Pupil.GPA" \
+    "integrate" \
+    "equiv s1.Student.Addr s2.Pupil.Addr")"
+  if grep -q '^err ' <<<"${write_out}"; then
+    echo "recovery smoke: a write failed:" >&2
+    echo "${write_out}" >&2
+    kill -9 "${smoke_pid}" 2>/dev/null || true
+    return 1
+  fi
+  local outline_before
+  outline_before="$(smoke_request "${smoke_port}" 2 "open smoke" "outline")"
+  if ! grep -q 'schema integrated' <<<"${outline_before}"; then
+    echo "recovery smoke: no integrated outline before the crash:" >&2
+    echo "${outline_before}" >&2
+    kill -9 "${smoke_pid}" 2>/dev/null || true
     return 1
   fi
   kill -9 "${smoke_pid}"
@@ -239,6 +259,25 @@ kill_recover_smoke() {
     kill -9 "${smoke_pid}" 2>/dev/null || true
     return 1
   fi
+  # Recovery built only the last integrate, and serves what the node
+  # served before the crash.
+  local outline_after
+  outline_after="$(smoke_request "${smoke_port}" 2 "open smoke" "outline")"
+  if [[ "${outline_after}" != "${outline_before}" ]]; then
+    echo "recovery smoke: recovered outline differs from the pre-crash one:" >&2
+    diff <(echo "${outline_before}") <(echo "${outline_after}") >&2 || true
+    kill -9 "${smoke_pid}" 2>/dev/null || true
+    return 1
+  fi
+  local superseded
+  superseded="$(smoke_request "${smoke_port}" 2 "open smoke" "metrics" |
+    sed -n 's/.*"journal.replay.integrates_superseded": \([0-9]*\).*/\1/p')"
+  if [[ -z "${superseded}" || "${superseded}" -lt 1 ]]; then
+    echo "recovery smoke: journal.replay.integrates_superseded is" \
+      "'${superseded}', want >= 1" >&2
+    kill -9 "${smoke_pid}" 2>/dev/null || true
+    return 1
+  fi
   kill -TERM "${smoke_pid}"
   local drain_status=0
   wait "${smoke_pid}" || drain_status=$?
@@ -250,7 +289,8 @@ kill_recover_smoke() {
     echo "recovery smoke: drain message missing from server log" >&2
     return 1
   fi
-  echo "recovery smoke: kill -9 recovery and SIGTERM drain OK" >&2
+  echo "recovery smoke: kill -9 recovery (${superseded} superseded" \
+    "integrate(s), outline unchanged) and SIGTERM drain OK" >&2
 }
 
 # Leader + two followers over real sockets (one durable, one diskless):
@@ -433,7 +473,7 @@ run_recovery_suite() {
     -DCMAKE_CXX_FLAGS="${san_flags}" \
     -DCMAKE_EXE_LINKER_FLAGS="${san_flags}" \
     -DCMAKE_SHARED_LINKER_FLAGS="${san_flags}"
-  echo "=== recovery: fault injection + crash-at-every-byte" >&2
+  echo "=== recovery: fault injection + crash-at-every-byte + fuzz" >&2
   "${build_dir}/tests/common_test" \
     --gtest_filter='Checksum*:MemFs*:RealFs*:FaultInjectingFs*'
   "${build_dir}/tests/service_test" \
